@@ -10,7 +10,7 @@
 //   ./bench_service [--n=...] [--queries=...] [--seed=...] [--json=out.json]
 //
 // Methodology: one corpus per shard count (same text), cache disabled so
-// the engines do real work every time, micro-batched SearchBatch admission,
+// the engines do real work every time, SearchBatch admission,
 // min-of-rounds wall time, and a cross-configuration hit checksum so a
 // concurrency bug cannot masquerade as a speedup. Exit code 2 when the
 // 8-thread speedup misses the 3x target — downgraded to a warning (exit 0)

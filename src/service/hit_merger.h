@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/api/search.h"
@@ -13,58 +12,15 @@
 namespace alae {
 namespace service {
 
-// Collects one query's per-slice result streams into a single global
-// response: remaps slice-local coordinates to global ones, drops hits the
-// producing slice does not own (a neighbour scores them with full
-// context), suppresses hits whose alignment window touches a tombstoned
-// span, deduplicates by global (text_end, query_end) keeping the best
-// score, and merges per-slice EngineStats.
-//
-// Slice tasks run concurrently; each buffers its *raw* slice-local hits
-// (which is also what the shard-local fragment cache stores — raw hits
-// stay valid however the ownership frontier or tombstone set moves) and
-// publishes the buffer with one MergeSlice call, so the merger's lock is
-// taken once per slice rather than once per hit.
-class HitMerger {
- public:
-  // `view` must outlive the merger (the scheduler holds both on the
-  // batch's stack). `tombstone_guard` is the query's RequiredSpan — the
-  // conservative alignment-window length behind TombstoneSuppressed.
-  HitMerger(const CorpusView& view, int64_t tombstone_guard)
-      : view_(view), tombstone_guard_(tombstone_guard) {}
-
-  // Publishes one slice's raw (slice-local, unfiltered) hits and the stats
-  // of the run that produced them. Thread-safe.
-  void MergeSlice(size_t slice, const std::vector<AlignmentHit>& raw,
-                  const api::EngineStats& stats);
-
-  // Final response: hits sorted by (text_end, query_end), stats merged
-  // across slices (including the tombstone_filtered count). Call after
-  // every slice task completed.
-  api::SearchResponse Take(uint64_t max_hits);
-
- private:
-  struct KeyHash {
-    size_t operator()(uint64_t k) const {
-      k ^= k >> 33;
-      k *= 0xFF51AFD7ED558CCDULL;
-      k ^= k >> 33;
-      return static_cast<size_t>(k);
-    }
-  };
-
-  const CorpusView& view_;
-  const int64_t tombstone_guard_;
-  std::mutex mu_;
-  std::unordered_map<uint64_t, AlignmentHit, KeyHash> hits_;
-  api::EngineStats stats_;
-  uint64_t tombstone_filtered_ = 0;
-};
-
-// Streaming counterpart of HitMerger: a k-way merge over per-slice
-// *sorted* hit streams that forwards hits to a sink in global
-// (text_end, query_end) order while the slice engines are still running,
-// and short-circuits remaining shard work once `max_hits` is satisfied.
+// Collects one query's per-slice result streams into its global answer: a
+// k-way merge over per-slice *sorted* raw hit streams that remaps
+// slice-local coordinates to global ones, drops hits the producing slice
+// does not own (a neighbour scores them with full context), suppresses
+// hits whose alignment window touches a tombstoned span, and forwards the
+// survivors to a sink in global (text_end, query_end) order while the
+// slice engines are still running — short-circuiting remaining shard work
+// once `max_hits` is satisfied. Without a sink it just collects: the
+// buffered search reads the answer back from emitted().
 //
 // Why a merge degenerates to an ordered hand-off here: ownership
 // partitions the corpus's text-end positions across slices into disjoint,
@@ -81,9 +37,8 @@ class HitMerger {
 // returns false), the merger fires `cap_token` — the token the slice
 // engines observe — so every still-running slice aborts at its next
 // cancellation poll and queued slice tasks fast-fail, instead of
-// computing a full answer that Take() would then throw away. The emitted
-// prefix is bit-identical to HitMerger::Take(max_hits)'s truncation of
-// the full merge.
+// computing a full answer that would then be thrown away. The emitted
+// prefix is bit-identical to the same-length prefix of the full merge.
 //
 // Thread-safe: Publish/Close may race across slice tasks. The sink runs
 // under the merger's lock (publication order IS the global order), so it
@@ -92,7 +47,8 @@ class StreamMerger {
  public:
   // `view` must outlive the merger; `guard` is the query's RequiredSpan
   // (tombstone suppression window). `max_hits` = 0 streams everything.
-  // `cap_token` (not owned, may be null) is fired when the cap is hit.
+  // `sink` may be empty (collect only). `cap_token` (not owned, may be
+  // null) is fired when the cap is hit.
   StreamMerger(const CorpusView& view, int64_t guard, uint64_t max_hits,
                api::HitSink sink, CancelToken* cap_token);
 
@@ -118,8 +74,8 @@ class StreamMerger {
   bool sink_stopped() const;
 
   // Hits emitted so far, in emission (= global sorted) order. Only valid
-  // after every slice closed; the scheduler uses it to populate the
-  // response cache without re-buffering the stream.
+  // after every slice closed; the scheduler reads the buffered answer and
+  // the response-cache payload from it without re-buffering the stream.
   const std::vector<AlignmentHit>& emitted() const { return emitted_; }
 
   uint64_t tombstone_filtered() const;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -18,7 +18,7 @@ namespace alae {
 namespace service {
 namespace {
 
-// Completion latch for one request's (or one batch's) fan-out. Callers
+// Completion latch for one wave's fan-out. Callers
 // always Wait before returning, so tasks may safely reference caller-stack
 // state through this.
 class TaskGroup {
@@ -41,7 +41,7 @@ class TaskGroup {
   size_t pending_;
 };
 
-// First-error slot shared by a request's slice tasks.
+// First-error slot shared by a query's slice tasks.
 class ErrorSlot {
  public:
   void Record(api::Status status) {
@@ -65,13 +65,37 @@ api::Status SliceError(size_t slice, const api::Status& status) {
                          status.message());
 }
 
+// Publishes one slice's slice-local hits (sorted) until the merger is
+// satisfied, then closes the slice with `stats`.
+void PublishSlice(StreamMerger* merger, size_t slice,
+                  const std::vector<AlignmentHit>& hits,
+                  const api::EngineStats& stats) {
+  for (const AlignmentHit& hit : hits) {
+    if (!merger->Publish(slice, hit)) break;
+  }
+  merger->Close(slice, stats);
+}
+
 }  // namespace
+
+struct QueryScheduler::Query {
+  obs::Trace* trace = nullptr;  // caller-supplied or sampled; may be null
+  std::unique_ptr<obs::Trace> sampled;
+  int root = -1;  // the "search" span
+  // Scheduler-owned effective token: observes the request's token (if
+  // any), carries the default deadline, is fired by Shutdown through
+  // inflight_, and is the cap token the merger fires once the stream is
+  // satisfied. Engaged for queries that reach compilation.
+  std::optional<CancelToken> token;
+  std::string key;  // response-cache key
+  std::unique_ptr<api::QueryPlan> plan;
+  std::optional<StreamMerger> merger;
+  ErrorSlot error;
+};
 
 QueryScheduler::QueryScheduler(const CorpusSource& source,
                                SchedulerOptions options)
     : source_(source),
-      batch_size_(std::max<size_t>(1, options.batch_size)),
-      fuse_alae_shards_(options.fuse_alae_shards),
       default_deadline_ms_(options.default_deadline_ms),
       registry_(options.registry != nullptr ? options.registry
                                             : &obs::MetricsRegistry::Default()),
@@ -167,67 +191,390 @@ void QueryScheduler::Shutdown() {
     shutdown_ = true;
     // Fire every in-flight query's effective token: running engine loops
     // bail at their next poll, queued-but-unstarted tasks fast-fail, and
-    // each batch returns kCancelled to its caller.
+    // each call returns kCancelled to its caller.
     for (CancelToken* token : inflight_) token->Cancel();
     lifecycle_cv_.wait(lock, [this] { return active_batches_ == 0; });
   }
-  // With every batch gone nothing submits anymore; close and join.
+  // With every call gone nothing submits anymore; close and join.
   pool_.Shutdown();
 }
 
 api::StatusOr<api::SearchResponse> QueryScheduler::Search(
     std::string_view backend, const api::SearchRequest& request) {
-  std::vector<api::QueryOutcome> outcomes = SearchBatch(backend, {request});
+  std::vector<api::QueryOutcome> outcomes =
+      Run(backend, {&request, 1}, nullptr);
   if (!outcomes[0].ok()) return outcomes[0].status;
   return std::move(outcomes[0].response);
+}
+
+std::vector<api::QueryOutcome> QueryScheduler::SearchBatch(
+    std::string_view backend,
+    const std::vector<api::SearchRequest>& requests) {
+  return Run(backend, requests, nullptr);
+}
+
+api::StatusOr<api::EngineStats> QueryScheduler::SearchStream(
+    std::string_view backend, const api::SearchRequest& request,
+    const api::HitSink& sink) {
+  std::vector<api::QueryOutcome> outcomes = Run(backend, {&request, 1}, &sink);
+  if (!outcomes[0].ok()) return outcomes[0].status;
+  return outcomes[0].response.stats;
+}
+
+std::vector<api::QueryOutcome> QueryScheduler::Run(
+    std::string_view backend, std::span<const api::SearchRequest> requests,
+    const api::HitSink* sink) {
+  std::vector<api::QueryOutcome> outcomes(requests.size());
+  if (requests.empty()) return outcomes;
+  if (obs::Counter* verb =
+          sink != nullptr ? inst_.requests_stream : inst_.requests_search) {
+    verb->Add(requests.size());
+  }
+  // Per-query traces: caller-supplied (the caller finishes those — the net
+  // front-end appends serialize spans after the scheduler is done), else
+  // sampled from the tracer and offered to the slow-query log below.
+  // Declared ahead of the queries: their mergers hold a reference to it.
+  CorpusView view;
+  std::vector<Query> queries(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Query& q = queries[i];
+    q.trace = requests[i].trace;
+    if (q.trace == nullptr) {
+      q.sampled = tracer_.MaybeSample();
+      q.trace = q.sampled.get();
+    }
+    if (q.trace != nullptr) q.root = q.trace->BeginSpan("search");
+  }
+
+  // Lifecycle registration: a call admitted here is guaranteed to finish
+  // (Shutdown waits for it); a call arriving after Shutdown began is
+  // refused whole.
+  bool admitted = false;
+  {
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    if (!shutdown_) {
+      ++active_batches_;
+      admitted = true;
+    }
+  }
+  if (admitted) {
+    // One snapshot serves the whole call: a concurrent live-corpus mutation
+    // or compaction swaps state for *later* calls, while this one keeps
+    // reading the slices (and indexes) the snapshot pinned.
+    view = source_.Snapshot();
+    Execute(backend, requests, sink, view, queries, outcomes);
+  } else {
+    for (api::QueryOutcome& o : outcomes) {
+      o.status = api::Status::Cancelled("scheduler is shut down");
+    }
+  }
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Query& q = queries[i];
+    if (q.trace != nullptr) q.trace->EndSpan(q.root);
+    tracer_.Finish(std::move(q.sampled));
+    RecordResult(outcomes[i].status, &outcomes[i].response.stats);
+  }
+  // Deregister last: once active_batches_ drops, a waiting Shutdown (and
+  // the destructor behind it) may proceed.
+  if (admitted) {
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    for (Query& q : queries) {
+      if (q.token) inflight_.erase(&*q.token);
+    }
+    --active_batches_;
+    lifecycle_cv_.notify_all();
+  }
+  return outcomes;
+}
+
+void QueryScheduler::Execute(std::string_view backend,
+                             std::span<const api::SearchRequest> requests,
+                             const api::HitSink* sink,
+                             const CorpusView& view,
+                             std::vector<Query>& queries,
+                             std::vector<api::QueryOutcome>& outcomes) {
+  Timer timer;
+  const size_t slices = view.slices.size();
+
+  std::vector<const api::Aligner*> aligners;
+  aligners.reserve(slices);
+  for (size_t s = 0; s < slices; ++s) {
+    api::StatusOr<const api::Aligner*> aligner =
+        view.slices[s].aligner_for(backend);
+    if (!aligner.ok()) {
+      for (api::QueryOutcome& o : outcomes) o.status = aligner.status();
+      return;
+    }
+    aligners.push_back(*aligner);
+  }
+
+  // Per-query admission: validation, span check, then the cache — all
+  // before compilation, so a cache hit never pays the query-side
+  // precompute it exists to avoid (the request-shaped cache key is byte
+  // identical to the plan-based one). Only cache misses compile, ONCE
+  // per query (slice 0's aligner; plans are index-independent), with
+  // max_hits zeroed — slices must compute their full owned answer (a
+  // per-slice cap could starve owned hits out of the merge); the global
+  // cap is applied by the StreamMerger and preserved in the cache key.
+  // `live` collects the indexes that actually need engine work.
+  std::vector<size_t> live;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const api::SearchRequest& request = requests[i];
+    Query& q = queries[i];
+    api::QueryOutcome& outcome = outcomes[i];
+    // Admission span: validation, span check and the cache lookup. Ends
+    // where compilation starts; the scope exit covers every `continue`.
+    obs::ScopedSpan admit_span(q.trace, "admit", q.root);
+    if (api::Status status = aligners[0]->Validate(request); !status.ok()) {
+      outcome.status = status;
+      continue;
+    }
+    // Fast-fail before the pool (or even the cache) is touched: an
+    // already-expired request costs the service nothing.
+    if (request.cancel != nullptr) {
+      switch (request.cancel->ExpiredWhy()) {
+        case CancelToken::Why::kCancelled:
+          outcome.status =
+              api::Status::Cancelled("request cancelled before admission");
+          continue;
+        case CancelToken::Why::kDeadline:
+          if (!request.allow_partial) {
+            outcome.status = api::Status::DeadlineExceeded(
+                "deadline expired before admission");
+            continue;
+          }
+          outcome.response.stats.truncated = true;
+          outcome.response.stats.truncated_by_deadline = true;
+          outcome.response.stats.seconds = timer.ElapsedSeconds();
+          continue;
+        case CancelToken::Why::kNone:
+          break;
+      }
+    }
+    if (api::Status status = view.ValidateSpan(backend, request);
+        !status.ok()) {
+      outcome.status = status;
+      continue;
+    }
+    q.key = ResultCache::KeyFor(backend, request, view.epoch);
+    if (cache_.Lookup(q.key, &outcome.response)) {
+      // A stream replays the cached (already sorted, already capped)
+      // answer through its sink — streams and buffered calls share this
+      // cache both ways.
+      if (sink != nullptr) {
+        for (const AlignmentHit& hit : outcome.response.hits) {
+          if (!(*sink)(hit)) break;
+        }
+      }
+      outcome.response.stats.cache_hits = 1;
+      outcome.response.stats.cache_misses = 0;
+      outcome.response.stats.seconds = timer.ElapsedSeconds();
+      continue;
+    }
+    // Compile against the effective token (replacing the caller's in the
+    // plan): engines under this plan observe caller cancellation AND the
+    // scheduler's default deadline AND a scheduler Shutdown AND the
+    // merger's cap, whichever fires first. Neither token nor allow_partial
+    // is fingerprinted, so cache keys are unaffected.
+    admit_span.End();
+    obs::ScopedSpan compile_span(q.trace, "compile", q.root);
+    q.token.emplace(request.cancel);
+    if (default_deadline_ms_ > 0) {
+      q.token->SetDeadlineAfter(
+          std::chrono::milliseconds(default_deadline_ms_));
+    }
+    api::SearchRequest uncapped = request;
+    uncapped.max_hits = 0;
+    uncapped.cancel = &*q.token;
+    api::StatusOr<std::unique_ptr<api::QueryPlan>> plan =
+        aligners[0]->Compile(std::move(uncapped));
+    if (!plan.ok()) {
+      outcome.status = plan.status();
+      q.token.reset();
+      continue;
+    }
+    q.plan = std::move(*plan);
+    // RequiredSpan is the tombstone guard (and BLAST window) for this
+    // query; also the value ValidateSpan just checked against the overlap.
+    q.merger.emplace(view, RequiredSpan(backend, request), request.max_hits,
+                     sink != nullptr ? *sink : api::HitSink(), &*q.token);
+    live.push_back(i);
+  }
+  if (live.empty()) return;
+  {
+    // Register the effective tokens; if Shutdown won the race since this
+    // call was admitted, its cancel sweep missed them — fire them here so
+    // the call still winds down promptly.
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    for (size_t i : live) {
+      inflight_.insert(&*queries[i].token);
+      if (shutdown_) queries[i].token->Cancel();
+    }
+  }
+
+  // Fan out. A buffered query on the built-in ALAE backend is ONE task
+  // running the fused union-trie walk (all slices share the query's fork
+  // DP); every other query — streamed, or another backend — is one task
+  // per slice.
+  const bool fused = sink == nullptr && aligners[0]->name() == "alae";
+  const size_t tasks_per_query = fused ? 1 : slices;
+  if (fused && inst_.fused_queries != nullptr) {
+    inst_.fused_queries->Add(live.size());
+  }
+  // A batch's full fan-out may legitimately exceed the queue bound, and a
+  // single all-or-nothing submit would then reject it forever no matter
+  // how idle the pool is. Split the live queries into waves whose task
+  // count fits the queue, admit each wave all-or-nothing, and wait between
+  // waves; a wave shed by *competing* traffic marks only its own queries
+  // kResourceExhausted (retrying those can genuinely succeed later).
+  const size_t wave_queries =
+      std::min(live.size(), pool_.queue_capacity() / tasks_per_query);
+  if (wave_queries == 0) {
+    // The queue cannot hold even one query's fan-out: a configuration
+    // misfit, not transient load.
+    api::Status misfit = api::Status::ResourceExhausted(
+        "one query fans out into " + std::to_string(tasks_per_query) +
+        " slice tasks but the service queue holds only " +
+        std::to_string(pool_.queue_capacity()) +
+        "; raise queue_capacity to at least the slice count");
+    for (size_t i : live) outcomes[i].status = misfit;
+    return;
+  }
+  for (size_t wave = 0; wave < live.size(); wave += wave_queries) {
+    const size_t wave_end = std::min(live.size(), wave + wave_queries);
+    const size_t num_tasks = tasks_per_query * (wave_end - wave);
+    TaskGroup done(num_tasks);
+    // Queue-wait accounting for traced queries: stamped just before the
+    // wave submits, read by the task that starts running the query (slice
+    // 0's — per-slice waits overlap and would double-book the tree).
+    int64_t submit_ns = 0;
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(num_tasks);
+    for (size_t k = wave; k < wave_end; ++k) {
+      Query* q = &queries[live[k]];
+      for (size_t s = 0; s < tasks_per_query; ++s) {
+        tasks.push_back([this, s, fused, q, &view, &aligners, &done,
+                         &submit_ns] {
+          if (s == 0 && q->trace != nullptr) {
+            q->trace->AddSpan("queue", submit_ns, obs::Trace::NowNanos(),
+                              q->root);
+          }
+          api::Status status =
+              fused ? RunFusedQuery(view, *q->plan, aligners, &*q->merger,
+                                    q->trace, q->root)
+                    : RunSliceQuery(view, s, aligners[s], *q->plan,
+                                    &*q->merger, q->trace, q->root);
+          if (!status.ok()) q->error.Record(std::move(status));
+          done.Done();
+        });
+      }
+    }
+    submit_ns = obs::Trace::NowNanos();
+    if (!pool_.TrySubmitBatch(std::move(tasks))) {
+      // A shutdown closes admission too; report that truthfully rather
+      // than as transient overload someone might retry against.
+      api::Status refused =
+          pool_.IsShutdown()
+              ? api::Status::Cancelled("scheduler is shutting down")
+              : api::Status::ResourceExhausted(
+                    "service queue is full (" +
+                    std::to_string(pool_.QueueDepth()) + "/" +
+                    std::to_string(pool_.queue_capacity()) +
+                    " tasks queued, this wave needs " +
+                    std::to_string(num_tasks) + "); retry with backoff");
+      for (size_t k = wave; k < wave_end; ++k) {
+        queries[live[k]].error.Record(refused);
+      }
+      continue;
+    }
+    done.Wait();
+  }
+
+  for (size_t i : live) {
+    Query& q = queries[i];
+    if (api::Status status = q.error.Take(); !status.ok()) {
+      outcomes[i].status = status;
+      continue;
+    }
+    obs::ScopedSpan merge_span(q.trace, "merge", q.root);
+    api::SearchResponse& response = outcomes[i].response;
+    response.stats = q.merger->TakeStats();
+    response.hits = q.merger->emitted();
+    merge_span.End();
+    response.stats.delta_shards = view.NumDeltaSlices();
+    response.stats.compactions = view.compactions;
+    // Cache the computed payload without this call's cache or compile
+    // accounting — a later hit reports its own counters and compiled
+    // nothing. A deadline-truncated partial is NOT the answer this key
+    // stands for (caching it would serve missing hits until the epoch
+    // turns); neither is a prefix the *sink* chose to cut (the key carries
+    // max_hits, not the sink's stopping point). A genuine max_hits cap IS
+    // the keyed answer.
+    if (!response.stats.truncated_by_deadline && !q.merger->sink_stopped()) {
+      cache_.Insert(q.key, response);
+    }
+    response.stats.plan_compile_ns = q.plan->compile_ns();
+    response.stats.cache_misses = 1;
+    response.stats.seconds = timer.ElapsedSeconds();
+  }
 }
 
 api::Status QueryScheduler::RunSliceQuery(const CorpusView& view, size_t slice,
                                           const api::Aligner* aligner,
                                           const api::QueryPlan& plan,
-                                          HitMerger* merger, obs::Trace* trace,
-                                          int root) {
+                                          StreamMerger* merger,
+                                          obs::Trace* trace, int root) {
   obs::ScopedSpan execute_span(trace, "execute", root);
   const bool frag = shard_cache_.capacity() > 0;
   std::string fkey;
+  api::SearchResponse fragment;
+  api::EngineStats stats;
   if (frag) {
     fkey = ResultCache::FragmentKeyFor(view.slices[slice].content_key, plan);
-    api::SearchResponse fragment;
     if (shard_cache_.Lookup(fkey, &fragment)) {
-      api::EngineStats stats;
       stats.shard_cache_hits = 1;
-      merger->MergeSlice(slice, fragment.hits, stats);
+      PublishSlice(merger, slice, fragment.hits, stats);
       return api::Status::Ok();
     }
   }
-  std::vector<AlignmentHit> raw;
-  api::EngineStats stats;
+  // Fragments are the raw slice-local stream — ownership cuts and
+  // tombstones are applied at reuse time, so a fragment stays valid for
+  // as long as the slice *content* does, however the frontier moves.
   api::Status status = aligner->Search(
       plan,
-      [&raw](const AlignmentHit& hit) {
-        raw.push_back(hit);
-        return true;
+      [&](const AlignmentHit& hit) {
+        if (frag) fragment.hits.push_back(hit);
+        return merger->Publish(slice, hit);
       },
       &stats);
-  if (!status.ok()) return SliceError(slice, status);
-  // A deadline-truncated run (allow_partial) is an incomplete fragment:
-  // caching it would serve missing hits forever. Merge it, don't store it.
-  if (frag && !stats.truncated_by_deadline) {
-    // Fragments are the raw slice-local stream — ownership cuts and
-    // tombstones are applied at reuse time, so a fragment stays valid for
-    // as long as the slice *content* does, however the frontier moves.
-    api::SearchResponse fragment;
-    fragment.hits = raw;
+  // Only an uncut run is the slice's whole answer: the cap, a stopped
+  // sink or a deadline truncation (all of which flag `truncated` or fail
+  // the run) leave a prefix that would serve missing hits forever.
+  if (frag && status.ok() && !stats.truncated) {
     shard_cache_.Insert(fkey, fragment);
-    stats.shard_cache_misses = 1;
   }
-  merger->MergeSlice(slice, raw, stats);
+  if (frag) stats.shard_cache_misses = 1;  // Search overwrote `stats`
+  // Close unconditionally (exactly once per slice): even a failed slice
+  // merged its stats and must unblock buffered successors — the overall
+  // request fails through the error slot, not through a stalled merge.
+  merger->Close(slice, stats);
+  if (!status.ok()) {
+    if (merger->cap_satisfied() &&
+        (status.code() == api::StatusCode::kCancelled ||
+         status.code() == api::StatusCode::kDeadlineExceeded)) {
+      // The cap token aborted this slice because the stream is already
+      // satisfied: that is the short-circuit working, not a failure.
+      return api::Status::Ok();
+    }
+    return SliceError(slice, status);
+  }
   return api::Status::Ok();
 }
 
 api::Status QueryScheduler::RunFusedQuery(
     const CorpusView& view, const api::QueryPlan& plan,
-    const std::vector<const api::Aligner*>& aligners, HitMerger* merger,
+    const std::vector<const api::Aligner*>& aligners, StreamMerger* merger,
     obs::Trace* trace, int root) {
   const size_t slices = view.slices.size();
   // The fused walk needs the typed ALAE plan and cannot host the
@@ -265,33 +612,12 @@ api::Status QueryScheduler::RunFusedQuery(
       }
     }
     if (all_cached) {
+      api::EngineStats stats;
+      stats.shard_cache_hits = 1;
       for (size_t s = 0; s < slices; ++s) {
-        api::EngineStats stats;
-        stats.shard_cache_hits = 1;
-        merger->MergeSlice(s, fragments[s].hits, stats);
+        PublishSlice(merger, s, fragments[s].hits, stats);
       }
       return api::Status::Ok();
-    }
-  }
-
-  // The fused walk bypasses Aligner::Search, so the cancellation status
-  // conversion that layer normally performs happens here instead.
-  const CancelToken* cancel = plan.request().cancel;
-  const bool allow_partial = plan.request().allow_partial;
-  bool partial = false;
-  if (cancel != nullptr) {
-    switch (cancel->ExpiredWhy()) {
-      case CancelToken::Why::kCancelled:
-        return api::Status::Cancelled("request cancelled before execution");
-      case CancelToken::Why::kDeadline:
-        if (!allow_partial) {
-          return api::Status::DeadlineExceeded(
-              "deadline expired before execution");
-        }
-        partial = true;
-        break;
-      case CancelToken::Why::kNone:
-        break;
     }
   }
 
@@ -300,13 +626,13 @@ api::Status QueryScheduler::RunFusedQuery(
   for (size_t s = 0; s < slices; ++s) {
     indexes.push_back(&view.slices[s].registry->index());
   }
+  // An already-expired token skips the walk (an empty partial answer).
+  const CancelToken* cancel = plan.request().cancel;
   Timer timer;
   AlaeRunStats run;
-  std::vector<ResultCollector> per_slice;
-  if (!partial) {
+  std::vector<ResultCollector> per_slice(slices);
+  if (cancel == nullptr || !cancel->Expired()) {
     Alae::RunSharded(compiled->core(), indexes, &per_slice, &run, cancel);
-  } else {
-    per_slice.resize(slices);  // already expired: empty partial answer
   }
   api::EngineStats walk_stats;
   walk_stats.seconds = timer.ElapsedSeconds();
@@ -314,621 +640,40 @@ api::Status QueryScheduler::RunFusedQuery(
   walk_stats.anchors_considered = run.anchors_considered;
   walk_stats.grams_searched = run.grams_searched;
   walk_stats.plan_reuses = 1;
-  if (cancel != nullptr && !partial) {
+  // The fused walk bypasses Aligner::Search, so the cancellation status
+  // conversion that layer normally performs happens here instead. It
+  // precedes publishing: the merger's cap fires the same token.
+  bool partial = false;
+  if (cancel != nullptr) {
     switch (cancel->ExpiredWhy()) {
       case CancelToken::Why::kCancelled:
         return api::Status::Cancelled("request cancelled during execution");
       case CancelToken::Why::kDeadline:
-        if (!allow_partial) {
+        if (!plan.request().allow_partial) {
           return api::Status::DeadlineExceeded("deadline expired mid-search");
         }
         partial = true;
+        walk_stats.truncated = true;
+        walk_stats.truncated_by_deadline = true;
         break;
       case CancelToken::Why::kNone:
         break;
     }
   }
-  if (partial) {
-    walk_stats.truncated = true;
-    walk_stats.truncated_by_deadline = true;
-  }
   for (size_t s = 0; s < slices; ++s) {
-    std::vector<AlignmentHit> raw;
-    // Drain unsorted: MergeSlice re-keys and Take sorts.
-    per_slice[s].ForEach(
-        [&raw](const AlignmentHit& hit) { raw.push_back(hit); });
+    api::SearchResponse fragment;
+    fragment.hits = per_slice[s].Sorted();
     // The fused walk's counters cover all slices; attribute them once.
     api::EngineStats stats = s == 0 ? walk_stats : api::EngineStats{};
-    // An aborted walk left every slice's fragment incomplete — merge them
-    // (they are a correct subset) but never cache them.
+    // An aborted walk left every slice's fragment incomplete — publish
+    // them (they are a correct subset) but never cache them.
     if (frag && !partial) {
-      api::SearchResponse fragment;
-      fragment.hits = raw;
       shard_cache_.Insert(fkeys[s], fragment);
       stats.shard_cache_misses = 1;
     }
-    merger->MergeSlice(s, raw, stats);
+    PublishSlice(merger, s, fragment.hits, stats);
   }
   return api::Status::Ok();
-}
-
-std::vector<api::QueryOutcome> QueryScheduler::SearchBatch(
-    std::string_view backend,
-    const std::vector<api::SearchRequest>& requests) {
-  Timer timer;
-  std::vector<api::QueryOutcome> outcomes(requests.size());
-  if (requests.empty()) return outcomes;
-  if (inst_.requests_search != nullptr) {
-    inst_.requests_search->Add(requests.size());
-  }
-
-  // Per-query traces: caller-supplied (the caller finishes those), else
-  // sampled from the tracer. roots[i] is the query's "search" root span.
-  // The exit guard below closes every root, hands sampled traces to the
-  // tracer (slow-query log) and folds final outcomes into the metrics on
-  // every return path.
-  std::vector<obs::Trace*> traces(requests.size(), nullptr);
-  std::vector<std::unique_ptr<obs::Trace>> sampled(requests.size());
-  std::vector<int> roots(requests.size(), -1);
-  bool any_trace = false;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    traces[i] = requests[i].trace;
-    if (traces[i] == nullptr) {
-      sampled[i] = tracer_.MaybeSample();
-      traces[i] = sampled[i].get();
-    }
-    if (traces[i] != nullptr) {
-      roots[i] = traces[i]->BeginSpan("search");
-      any_trace = true;
-    }
-  }
-  struct ObsExit {
-    QueryScheduler* self;
-    std::vector<api::QueryOutcome>* outcomes;
-    std::vector<obs::Trace*>* traces;
-    std::vector<std::unique_ptr<obs::Trace>>* sampled;
-    std::vector<int>* roots;
-    ~ObsExit() {
-      for (size_t i = 0; i < traces->size(); ++i) {
-        if ((*traces)[i] != nullptr) (*traces)[i]->EndSpan((*roots)[i]);
-        self->tracer_.Finish(std::move((*sampled)[i]));
-      }
-      for (const api::QueryOutcome& o : *outcomes) {
-        self->RecordResult(o.status, &o.response.stats);
-      }
-    }
-  } obs_exit{this, &outcomes, &traces, &sampled, &roots};
-
-  // Lifecycle registration: a batch admitted here is guaranteed to finish
-  // (Shutdown waits for it); a batch arriving after Shutdown began is
-  // refused whole.
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    if (shutdown_) {
-      for (api::QueryOutcome& o : outcomes) {
-        o.status = api::Status::Cancelled("scheduler is shut down");
-      }
-      return outcomes;
-    }
-    ++active_batches_;
-  }
-  // Scheduler-owned effective tokens, one per live query: each observes
-  // the request's token (if any), carries the scheduler default deadline,
-  // and is registered in inflight_ so Shutdown can fire it. Deque: tasks
-  // hold pointers, so addresses must be stable.
-  std::deque<CancelToken> tokens;
-  struct BatchExit {
-    QueryScheduler* self;
-    std::deque<CancelToken>* tokens;
-    ~BatchExit() {
-      std::lock_guard<std::mutex> lock(self->lifecycle_mu_);
-      for (CancelToken& token : *tokens) self->inflight_.erase(&token);
-      --self->active_batches_;
-      self->lifecycle_cv_.notify_all();
-    }
-  } exit_guard{this, &tokens};
-
-  // One snapshot serves the whole batch: a concurrent live-corpus
-  // mutation or compaction swaps state for *later* batches, while this
-  // one keeps reading the slices (and indexes) the snapshot pinned.
-  const CorpusView view = source_.Snapshot();
-  const size_t slices = view.slices.size();
-  const size_t num_deltas = view.NumDeltaSlices();
-
-  std::vector<const api::Aligner*> aligners;
-  aligners.reserve(slices);
-  for (size_t s = 0; s < slices; ++s) {
-    api::StatusOr<const api::Aligner*> aligner =
-        view.slices[s].aligner_for(backend);
-    if (!aligner.ok()) {
-      for (api::QueryOutcome& o : outcomes) o.status = aligner.status();
-      return outcomes;
-    }
-    aligners.push_back(*aligner);
-  }
-
-  // Per-query admission: validation, span check, then the cache — all
-  // before compilation, so a cache hit never pays the query-side
-  // precompute it exists to avoid (the request-shaped cache key is byte
-  // identical to the plan-based one). Only cache misses compile, ONCE
-  // per query (slice 0's aligner; plans are index-independent), with
-  // max_hits zeroed — slices must compute their full owned answer (a
-  // per-slice cap could starve owned hits out of the merge); the global
-  // cap is applied by HitMerger::Take and preserved in the cache key.
-  // `live` collects the indexes that actually need engine work.
-  std::vector<size_t> live;
-  std::vector<std::string> keys(requests.size());
-  std::vector<int64_t> guards(requests.size(), 0);
-  std::vector<std::unique_ptr<const api::QueryPlan>> plans(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    // Admission span: validation, span check and the cache lookup. Ends
-    // where compilation starts; the scope exit covers every `continue`.
-    obs::ScopedSpan admit_span(traces[i], "admit", roots[i]);
-    if (api::Status status = aligners[0]->Validate(requests[i]);
-        !status.ok()) {
-      outcomes[i].status = status;
-      continue;
-    }
-    // Fast-fail before the pool (or even the cache) is touched: an
-    // already-expired request costs the service nothing.
-    if (requests[i].cancel != nullptr) {
-      switch (requests[i].cancel->ExpiredWhy()) {
-        case CancelToken::Why::kCancelled:
-          outcomes[i].status =
-              api::Status::Cancelled("request cancelled before admission");
-          continue;
-        case CancelToken::Why::kDeadline:
-          if (!requests[i].allow_partial) {
-            outcomes[i].status = api::Status::DeadlineExceeded(
-                "deadline expired before admission");
-            continue;
-          }
-          outcomes[i].response.stats.truncated = true;
-          outcomes[i].response.stats.truncated_by_deadline = true;
-          outcomes[i].response.stats.seconds = timer.ElapsedSeconds();
-          continue;
-        case CancelToken::Why::kNone:
-          break;
-      }
-    }
-    if (api::Status status = view.ValidateSpan(backend, requests[i]);
-        !status.ok()) {
-      outcomes[i].status = status;
-      continue;
-    }
-    // The tombstone guard (and BLAST window) for this query; also the
-    // value ValidateSpan just checked against the overlap.
-    guards[i] = RequiredSpan(backend, requests[i]);
-    keys[i] = ResultCache::KeyFor(backend, requests[i], view.epoch);
-    if (cache_.Lookup(keys[i], &outcomes[i].response)) {
-      outcomes[i].response.stats.cache_hits = 1;
-      outcomes[i].response.stats.cache_misses = 0;
-      outcomes[i].response.stats.seconds = timer.ElapsedSeconds();
-      continue;
-    }
-    // Compile against the effective token (replacing the caller's in the
-    // plan): engines under this plan observe caller cancellation AND the
-    // scheduler's default deadline AND a scheduler Shutdown, whichever
-    // fires first. Neither token nor allow_partial is fingerprinted, so
-    // cache keys are unaffected.
-    admit_span.End();
-    obs::ScopedSpan compile_span(traces[i], "compile", roots[i]);
-    tokens.emplace_back(requests[i].cancel);
-    if (default_deadline_ms_ > 0) {
-      tokens.back().SetDeadlineAfter(
-          std::chrono::milliseconds(default_deadline_ms_));
-    }
-    api::SearchRequest uncapped = requests[i];
-    uncapped.max_hits = 0;
-    uncapped.cancel = &tokens.back();
-    api::StatusOr<std::unique_ptr<api::QueryPlan>> plan =
-        aligners[0]->Compile(std::move(uncapped));
-    if (!plan.ok()) {
-      outcomes[i].status = plan.status();
-      tokens.pop_back();
-      continue;
-    }
-    plans[i] = std::move(*plan);
-    live.push_back(i);
-  }
-  if (live.empty()) return outcomes;
-  {
-    // Register the effective tokens; if Shutdown won the race since this
-    // batch was admitted, its cancel sweep missed them — fire them here so
-    // the batch still winds down promptly.
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    for (CancelToken& token : tokens) {
-      inflight_.insert(&token);
-      if (shutdown_) token.Cancel();
-    }
-  }
-
-  // Fan out. Every live query needs every slice; micro-batching packs up
-  // to batch_size same-backend queries into one pool task so the task
-  // dispatch (and the slice's index going cold) is paid per group. For
-  // the built-in ALAE backend a group is ONE task running the fused
-  // union-trie walk (all slices share the query's fork DP); for the other
-  // backends a group spawns one task per slice.
-  const size_t group = batch_size_;
-  const bool fused = fuse_alae_shards_ && aligners[0]->name() == "alae";
-  const size_t tasks_per_group = fused ? 1 : slices;
-  if (fused && inst_.fused_queries != nullptr) {
-    inst_.fused_queries->Add(live.size());
-  }
-  // deque: HitMerger carries a mutex and must be constructed in place.
-  std::deque<HitMerger> mergers;
-  for (size_t k = 0; k < live.size(); ++k) {
-    mergers.emplace_back(view, guards[live[k]]);
-  }
-  std::vector<ErrorSlot> errors(live.size());
-
-  // A batch's full fan-out may legitimately exceed the queue bound, and a
-  // single all-or-nothing submit would then reject it forever no matter
-  // how idle the pool is. Split the live queries into waves whose task
-  // count fits the queue, admit each wave all-or-nothing, and wait between
-  // waves; a wave shed by *competing* traffic marks only its own queries
-  // kResourceExhausted (retrying those can genuinely succeed later).
-  size_t wave_queries = live.size();
-  if (tasks_per_group * ((live.size() + group - 1) / group) >
-      pool_.queue_capacity()) {
-    wave_queries = pool_.queue_capacity() / tasks_per_group * group;
-  }
-  if (wave_queries == 0) {
-    // The queue cannot hold even one query's fan-out: a configuration
-    // misfit, not transient load.
-    api::Status misfit = api::Status::ResourceExhausted(
-        "one query fans out into " + std::to_string(tasks_per_group) +
-        " slice tasks but the service queue holds only " +
-        std::to_string(pool_.queue_capacity()) +
-        "; raise queue_capacity to at least the slice count");
-    for (size_t k = 0; k < live.size(); ++k) {
-      outcomes[live[k]].status = misfit;
-    }
-    return outcomes;
-  }
-  for (size_t wave = 0; wave < live.size(); wave += wave_queries) {
-    const size_t wave_end = std::min(live.size(), wave + wave_queries);
-    const size_t num_groups = (wave_end - wave + group - 1) / group;
-    const size_t num_tasks = tasks_per_group * num_groups;
-    TaskGroup done(num_tasks);
-    // Queue-wait accounting for traced queries: stamped just before the
-    // wave submits, read by the first task that starts running the query.
-    int64_t submit_ns = 0;
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(num_tasks);
-    if (fused) {
-      for (size_t g = wave; g < wave_end; g += group) {
-        const size_t g_end = std::min(wave_end, g + group);
-        tasks.push_back([this, g, g_end, &view, &live, &plans, &aligners,
-                         &mergers, &errors, &done, &traces, &roots,
-                         &submit_ns] {
-          int64_t start_ns = 0;
-          for (size_t k = g; k < g_end; ++k) {
-            obs::Trace* trace = traces[live[k]];
-            const int root = roots[live[k]];
-            if (trace != nullptr) {
-              if (start_ns == 0) start_ns = obs::Trace::NowNanos();
-              trace->AddSpan("queue", submit_ns, start_ns, root);
-            }
-            api::Status status = RunFusedQuery(view, *plans[live[k]], aligners,
-                                               &mergers[k], trace, root);
-            if (!status.ok()) errors[k].Record(std::move(status));
-          }
-          done.Done();
-        });
-      }
-    } else {
-      for (size_t s = 0; s < slices; ++s) {
-        for (size_t g = wave; g < wave_end; g += group) {
-          const size_t g_end = std::min(wave_end, g + group);
-          const api::Aligner* aligner = aligners[s];
-          tasks.push_back([this, s, g, g_end, aligner, &view, &live, &plans,
-                           &mergers, &errors, &done, &traces, &roots,
-                           &submit_ns] {
-            int64_t start_ns = 0;
-            for (size_t k = g; k < g_end; ++k) {
-              obs::Trace* trace = traces[live[k]];
-              const int root = roots[live[k]];
-              // One queue span per query (slice 0's task), not one per
-              // slice: the per-slice waits overlap and would double-book
-              // the tree.
-              if (s == 0 && trace != nullptr) {
-                if (start_ns == 0) start_ns = obs::Trace::NowNanos();
-                trace->AddSpan("queue", submit_ns, start_ns, root);
-              }
-              // The shared plan carries max_hits = 0 (see admission), so
-              // every slice streams its full owned answer; the global cap
-              // is applied by HitMerger::Take on the sorted merged set —
-              // which is exactly the unsharded prefix.
-              api::Status status =
-                  RunSliceQuery(view, s, aligner, *plans[live[k]], &mergers[k],
-                                trace, root);
-              if (!status.ok()) errors[k].Record(std::move(status));
-            }
-            done.Done();
-          });
-        }
-      }
-    }
-    if (any_trace) submit_ns = obs::Trace::NowNanos();
-    if (!pool_.TrySubmitBatch(std::move(tasks))) {
-      // A shutdown closes admission too; report that truthfully rather
-      // than as transient overload someone might retry against.
-      api::Status refused =
-          pool_.IsShutdown()
-              ? api::Status::Cancelled("scheduler is shutting down")
-              : api::Status::ResourceExhausted(
-                    "service queue is full (" +
-                    std::to_string(pool_.QueueDepth()) + "/" +
-                    std::to_string(pool_.queue_capacity()) +
-                    " tasks queued, this wave needs " +
-                    std::to_string(num_tasks) + "); retry with backoff");
-      for (size_t k = wave; k < wave_end; ++k) {
-        errors[k].Record(refused);
-      }
-      continue;
-    }
-    done.Wait();
-  }
-
-  for (size_t k = 0; k < live.size(); ++k) {
-    const size_t i = live[k];
-    if (api::Status status = errors[k].Take(); !status.ok()) {
-      outcomes[i].status = status;
-      continue;
-    }
-    obs::ScopedSpan merge_span(traces[i], "merge", roots[i]);
-    api::SearchResponse response = mergers[k].Take(requests[i].max_hits);
-    merge_span.End();
-    response.stats.delta_shards = num_deltas;
-    response.stats.compactions = view.compactions;
-    // Cache the computed payload without this call's cache or compile
-    // accounting — a later hit reports its own counters and compiled
-    // nothing. A deadline-truncated partial is NOT the answer this key
-    // stands for; caching it would serve missing hits until the epoch
-    // turns, so partials are merged to the caller and forgotten.
-    if (!response.stats.truncated_by_deadline) {
-      cache_.Insert(keys[i], response);
-    }
-    response.stats.plan_compile_ns = plans[i]->compile_ns();
-    response.stats.cache_misses = 1;
-    response.stats.seconds = timer.ElapsedSeconds();
-    outcomes[i].response = std::move(response);
-  }
-  return outcomes;
-}
-
-api::Status QueryScheduler::RunStreamSlice(const CorpusView& view, size_t slice,
-                                           const api::Aligner* aligner,
-                                           const api::QueryPlan& plan,
-                                           StreamMerger* merger,
-                                           obs::Trace* trace, int root) {
-  obs::ScopedSpan execute_span(trace, "execute", root);
-  if (shard_cache_.capacity() > 0) {
-    // Lookup only: a streamed run may be cut short by the cap at any
-    // moment, which would leave a raw fragment incomplete — fragments are
-    // inserted exclusively by the buffered (SearchBatch) path.
-    const std::string fkey =
-        ResultCache::FragmentKeyFor(view.slices[slice].content_key, plan);
-    api::SearchResponse fragment;
-    if (shard_cache_.Lookup(fkey, &fragment)) {
-      for (const AlignmentHit& hit : fragment.hits) {
-        if (!merger->Publish(slice, hit)) break;
-      }
-      api::EngineStats stats;
-      stats.shard_cache_hits = 1;
-      merger->Close(slice, stats);
-      return api::Status::Ok();
-    }
-  }
-  api::EngineStats stats;
-  api::Status status = aligner->Search(
-      plan,
-      [merger, slice](const AlignmentHit& hit) {
-        return merger->Publish(slice, hit);
-      },
-      &stats);
-  // Close unconditionally (exactly once per slice): even a failed slice
-  // merged its stats and must unblock buffered successors — the overall
-  // request fails through the error slot, not through a stalled merge.
-  merger->Close(slice, stats);
-  if (!status.ok()) {
-    if (merger->cap_satisfied() && (status.code() == api::StatusCode::kCancelled ||
-                                    status.code() ==
-                                        api::StatusCode::kDeadlineExceeded)) {
-      // The cap token aborted this slice because the stream is already
-      // satisfied: that is the short-circuit working, not a failure.
-      return api::Status::Ok();
-    }
-    return SliceError(slice, status);
-  }
-  return api::Status::Ok();
-}
-
-api::StatusOr<api::EngineStats> QueryScheduler::SearchStream(
-    std::string_view backend, const api::SearchRequest& request,
-    const api::HitSink& sink) {
-  if (inst_.requests_stream != nullptr) inst_.requests_stream->Add();
-  // Caller-supplied traces are finished by the caller (the net front-end
-  // appends serialize spans after the scheduler is done); sampled traces
-  // are closed and offered to the slow-query log here.
-  obs::Trace* trace = request.trace;
-  std::unique_ptr<obs::Trace> owned;
-  if (trace == nullptr) {
-    owned = tracer_.MaybeSample();
-    trace = owned.get();
-  }
-  const int root = trace != nullptr ? trace->BeginSpan("search") : -1;
-  api::StatusOr<api::EngineStats> result =
-      SearchStreamImpl(backend, request, sink, trace, root);
-  if (trace != nullptr) trace->EndSpan(root);
-  tracer_.Finish(std::move(owned));
-  if (result.ok()) {
-    RecordResult(api::Status::Ok(), &*result);
-  } else {
-    RecordResult(result.status(), nullptr);
-  }
-  return result;
-}
-
-api::StatusOr<api::EngineStats> QueryScheduler::SearchStreamImpl(
-    std::string_view backend, const api::SearchRequest& request,
-    const api::HitSink& sink, obs::Trace* trace, int root) {
-  Timer timer;
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    if (shutdown_) return api::Status::Cancelled("scheduler is shut down");
-    ++active_batches_;
-  }
-  // Effective token: observes the caller's token, carries the scheduler
-  // default deadline, and is registered in inflight_ so Shutdown fires it.
-  CancelToken effective(request.cancel);
-  if (default_deadline_ms_ > 0) {
-    effective.SetDeadlineAfter(std::chrono::milliseconds(default_deadline_ms_));
-  }
-  bool registered = false;
-  struct StreamExit {
-    QueryScheduler* self;
-    CancelToken* token;
-    bool* registered;
-    ~StreamExit() {
-      std::lock_guard<std::mutex> lock(self->lifecycle_mu_);
-      if (*registered) self->inflight_.erase(token);
-      --self->active_batches_;
-      self->lifecycle_cv_.notify_all();
-    }
-  } exit_guard{this, &effective, &registered};
-
-  obs::ScopedSpan admit_span(trace, "admit", root);
-  const CorpusView view = source_.Snapshot();
-  const size_t slices = view.slices.size();
-
-  std::vector<const api::Aligner*> aligners;
-  aligners.reserve(slices);
-  for (size_t s = 0; s < slices; ++s) {
-    api::StatusOr<const api::Aligner*> aligner =
-        view.slices[s].aligner_for(backend);
-    if (!aligner.ok()) return aligner.status();
-    aligners.push_back(*aligner);
-  }
-
-  if (api::Status status = aligners[0]->Validate(request); !status.ok()) {
-    return status;
-  }
-  if (request.cancel != nullptr) {
-    switch (request.cancel->ExpiredWhy()) {
-      case CancelToken::Why::kCancelled:
-        return api::Status::Cancelled("request cancelled before admission");
-      case CancelToken::Why::kDeadline: {
-        if (!request.allow_partial) {
-          return api::Status::DeadlineExceeded(
-              "deadline expired before admission");
-        }
-        api::EngineStats stats;
-        stats.truncated = true;
-        stats.truncated_by_deadline = true;
-        stats.seconds = timer.ElapsedSeconds();
-        return stats;  // empty partial stream
-      }
-      case CancelToken::Why::kNone:
-        break;
-    }
-  }
-  if (api::Status status = view.ValidateSpan(backend, request); !status.ok()) {
-    return status;
-  }
-  const int64_t guard = RequiredSpan(backend, request);
-  const std::string key = ResultCache::KeyFor(backend, request, view.epoch);
-  {
-    api::SearchResponse cached;
-    if (cache_.Lookup(key, &cached)) {
-      // Replay the cached (already sorted, already capped) answer through
-      // the sink — a stream and a buffered Search share this cache.
-      for (const AlignmentHit& hit : cached.hits) {
-        if (!sink(hit)) break;
-      }
-      api::EngineStats stats = cached.stats;
-      stats.cache_hits = 1;
-      stats.cache_misses = 0;
-      stats.seconds = timer.ElapsedSeconds();
-      return stats;
-    }
-  }
-
-  admit_span.End();
-  obs::ScopedSpan compile_span(trace, "compile", root);
-  // The cap token is what the engines observe: it inherits the effective
-  // token's cancellation/deadline AND fires on its own when the merger
-  // satisfies max_hits (or the sink stops) — the streaming short-circuit.
-  CancelToken cap(&effective);
-  api::SearchRequest uncapped = request;
-  uncapped.max_hits = 0;  // slices stream their full owned answer
-  uncapped.cancel = &cap;
-  api::StatusOr<std::unique_ptr<api::QueryPlan>> plan =
-      aligners[0]->Compile(std::move(uncapped));
-  if (!plan.ok()) return plan.status();
-  compile_span.End();
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    inflight_.insert(&effective);
-    registered = true;
-    if (shutdown_) effective.Cancel();
-  }
-
-  StreamMerger merger(view, guard, request.max_hits, sink, &cap);
-  ErrorSlot error;
-  TaskGroup done(slices);
-  int64_t submit_ns = 0;  // stamped just before the batch submits
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(slices);
-  for (size_t s = 0; s < slices; ++s) {
-    const api::Aligner* aligner = aligners[s];
-    const api::QueryPlan* compiled = plan->get();
-    tasks.push_back([this, s, aligner, compiled, &view, &merger, &error,
-                     &done, trace, root, &submit_ns] {
-      // One queue span for the stream (slice 0's task); per-slice waits
-      // overlap and would double-book the tree.
-      if (s == 0 && trace != nullptr) {
-        trace->AddSpan("queue", submit_ns, obs::Trace::NowNanos(), root);
-      }
-      api::Status status =
-          RunStreamSlice(view, s, aligner, *compiled, &merger, trace, root);
-      if (!status.ok()) error.Record(std::move(status));
-      done.Done();
-    });
-  }
-  if (trace != nullptr) submit_ns = obs::Trace::NowNanos();
-  if (!pool_.TrySubmitBatch(std::move(tasks))) {
-    return pool_.IsShutdown()
-               ? api::Status::Cancelled("scheduler is shutting down")
-               : api::Status::ResourceExhausted(
-                     "service queue is full (" +
-                     std::to_string(pool_.QueueDepth()) + "/" +
-                     std::to_string(pool_.queue_capacity()) +
-                     " tasks queued, this stream needs " +
-                     std::to_string(slices) + "); retry with backoff");
-  }
-  done.Wait();
-  if (api::Status status = error.Take(); !status.ok()) return status;
-
-  api::EngineStats stats = merger.TakeStats();
-  stats.delta_shards = view.NumDeltaSlices();
-  stats.compactions = view.compactions;
-  // Cache the completed stream for later Search/SearchStream calls. A
-  // deadline-truncated partial is not the key's answer; neither is a
-  // prefix the *sink* chose to cut (the key carries max_hits, not the
-  // sink's stopping point). A genuine max_hits cap IS the keyed answer —
-  // identical to the truncation Search would cache.
-  if (!stats.truncated_by_deadline && !merger.sink_stopped()) {
-    api::SearchResponse response;
-    response.hits = merger.emitted();
-    response.stats = stats;
-    cache_.Insert(key, response);
-  }
-  stats.plan_compile_ns = (*plan)->compile_ns();
-  stats.cache_misses = 1;
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
 }
 
 }  // namespace service

@@ -4,8 +4,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -22,7 +22,6 @@
 namespace alae {
 namespace service {
 
-class HitMerger;
 class StreamMerger;
 
 struct SchedulerOptions {
@@ -45,21 +44,6 @@ struct SchedulerOptions {
   // new base). Load-bearing for live corpora, where every append/delete
   // invalidates the whole-response cache above; 0 disables the tier.
   size_t shard_cache_capacity = 0;
-
-  // SearchBatch micro-batching: up to this many same-backend queries ride
-  // one shard task, so a task switch (and the shard index going cold) is
-  // paid once per group rather than once per query.
-  size_t batch_size = 8;
-
-  // Fused execution for the built-in ALAE backend: one engine walk over
-  // the union of the slices' suffix tries per query, sharing the fork DP
-  // across slices (per-slice work reduces to occurrence anchoring +
-  // descent — see Alae::RunSharded). This flattens the per-slice fixed
-  // query cost; results are bit-exact either way. A fused query is one
-  // pool task instead of one per slice, so it trades intra-query
-  // parallelism for strictly less total work — batch throughput wins,
-  // single-query latency on an idle many-core box may prefer `false`.
-  bool fuse_alae_shards = true;
 
   // Default deadline imposed on every query (0 = none). Each query runs
   // under a scheduler-owned token that carries this deadline AND observes
@@ -90,18 +74,25 @@ struct SchedulerOptions {
 };
 
 // The multi-tenant front door of the sharded query service: snapshots the
-// corpus source once per batch, compiles each request into a QueryPlan
+// corpus source once per call, compiles each request into a QueryPlan
 // once (slice 0's aligner; plans are index-independent), fans the work
 // across the snapshot's slices — base shards plus any live-corpus delta
-// shards — as pool tasks that share the plan (fused into one union-trie
-// walk for ALAE, one task per slice otherwise), merges the per-slice
-// streams through a HitMerger with ownership and tombstone filtering, and
-// answers repeats from two cache tiers: the epoch-keyed whole-response
-// LRU and the content-keyed shard-fragment LRU.
+// shards — as pool tasks that share the plan, merges the per-slice
+// streams through a StreamMerger with ownership and tombstone filtering,
+// and answers repeats from two cache tiers: the epoch-keyed
+// whole-response LRU and the content-keyed shard-fragment LRU.
+//
+// Search, SearchBatch and SearchStream are one pipeline: a buffered call
+// is a batch whose queries collect their merged hits, a stream is a batch
+// of one whose hits go to the caller's sink. The only per-call choice is
+// the execution step — a buffered query on the built-in ALAE backend runs
+// as ONE task doing the fused union-trie walk (less total work), while a
+// streamed query runs one task per slice (hits reach the sink while
+// slices still run, and max_hits short-circuits the rest).
 //
 // Thread-safe: any number of client threads may call Search/SearchBatch
 // concurrently; they share the worker pool and the caches. Mutating a
-// LiveCorpus source concurrently is safe (each batch works off its own
+// LiveCorpus source concurrently is safe (each call works off its own
 // snapshot). Destroying the scheduler while calls are in flight is safe:
 // the destructor runs Shutdown(), which cancels every in-flight query
 // (they return kCancelled), waits them out, and drains the pool.
@@ -135,10 +126,10 @@ class QueryScheduler {
   api::StatusOr<api::SearchResponse> Search(std::string_view backend,
                                             const api::SearchRequest& request);
 
-  // Micro-batched form: same-backend requests are grouped `batch_size` to
-  // a slice task. Outcomes come back in input order, each with its own
-  // Status — one bad query never takes down its neighbours (same contract
-  // as MultiQueryDriver::RunEach).
+  // Batch form: every query is admitted, compiled and fanned out in one
+  // call (in queue-sized waves). Outcomes come back in input order, each
+  // with its own Status — one bad query never takes down its neighbours
+  // (same contract as MultiQueryDriver::RunEach).
   std::vector<api::QueryOutcome> SearchBatch(
       std::string_view backend,
       const std::vector<api::SearchRequest>& requests);
@@ -157,8 +148,7 @@ class QueryScheduler {
   // returns false), a cap token fires and every still-running slice aborts
   // at its next cancellation poll, so a small max_hits costs a fraction of
   // the full answer. Streaming always runs one task per slice (never the
-  // fused ALAE walk — fusion produces unordered results, which would force
-  // buffering the very stream this call exists to avoid).
+  // fused ALAE walk, which delivers nothing until every slice is done).
   //
   // The sink runs under the merger's lock on pool worker threads: keep it
   // fast, never call back into the scheduler from it.
@@ -210,40 +200,46 @@ class QueryScheduler {
   // for failures; latency, cache-tier and engine DpCounters for answers.
   void RecordResult(const api::Status& status, const api::EngineStats* stats);
 
-  // Executes one compiled query against one slice: fragment-cache lookup,
-  // engine run on miss (raw slice-local hits; the fragment inserted before
-  // merging), MergeSlice either way. `trace`/`root` (nullable / -1) hang
+  // One request's state through the pipeline (defined in scheduler.cc).
+  struct Query;
+
+  // The pipeline behind all three entry points: trace sampling, lifecycle
+  // registration, admission, compile, fan-out, merge, caching and metrics.
+  // `sink` is SearchStream's (null for buffered calls): when set, the one
+  // request's hits stream to it and its outcome carries stats only.
+  std::vector<api::QueryOutcome> Run(
+      std::string_view backend, std::span<const api::SearchRequest> requests,
+      const api::HitSink* sink);
+
+  // Run's body between lifecycle registration and deregistration, against
+  // the call's snapshot `view`; fills `outcomes` (pre-sized to the
+  // requests).
+  void Execute(std::string_view backend,
+               std::span<const api::SearchRequest> requests,
+               const api::HitSink* sink, const CorpusView& view,
+               std::vector<Query>& queries,
+               std::vector<api::QueryOutcome>& outcomes);
+
+  // Executes one compiled query against one slice: fragment-cache lookup
+  // (replayed into the merger on a hit), else the engine run publishing
+  // each hit as it is produced; the raw slice-local hits become the
+  // fragment only when the run finished uncut. Closes the slice and turns
+  // a cap-token abort into success. `trace`/`root` (nullable / -1) hang
   // an "execute" span under the request's root span.
   api::Status RunSliceQuery(const CorpusView& view, size_t slice,
                             const api::Aligner* aligner,
-                            const api::QueryPlan& plan, HitMerger* merger,
+                            const api::QueryPlan& plan, StreamMerger* merger,
                             obs::Trace* trace, int root);
 
   // Executes one compiled query against every slice inside one pool task:
   // the fused ALAE walk when the plan supports it (all-or-nothing against
-  // the fragment cache), else a serial per-slice loop.
+  // the fragment cache; each slice's sorted hits are published, stored as
+  // its fragment and the slice closed), else a serial per-slice loop.
   api::Status RunFusedQuery(const CorpusView& view, const api::QueryPlan& plan,
                             const std::vector<const api::Aligner*>& aligners,
-                            HitMerger* merger, obs::Trace* trace, int root);
-
-  // Streaming sibling of RunSliceQuery: publishes each engine hit into the
-  // StreamMerger as it is produced (fragment-cache lookups replay the
-  // cached raw stream; inserts are skipped — a capped run leaves fragments
-  // incomplete). Converts cap-token cancellation into success.
-  api::Status RunStreamSlice(const CorpusView& view, size_t slice,
-                             const api::Aligner* aligner,
-                             const api::QueryPlan& plan, StreamMerger* merger,
-                             obs::Trace* trace, int root);
-
-  // SearchStream's body; the public wrapper owns trace sampling, the
-  // root span and result recording around it.
-  api::StatusOr<api::EngineStats> SearchStreamImpl(
-      std::string_view backend, const api::SearchRequest& request,
-      const api::HitSink& sink, obs::Trace* trace, int root);
+                            StreamMerger* merger, obs::Trace* trace, int root);
 
   const CorpusSource& source_;
-  const size_t batch_size_;
-  const bool fuse_alae_shards_;
   const int64_t default_deadline_ms_;
   obs::MetricsRegistry* const registry_;  // never null (Default() fallback)
   const Instruments inst_;
@@ -251,9 +247,9 @@ class QueryScheduler {
   ResultCache cache_;
   ResultCache shard_cache_;
 
-  // Shutdown lifecycle. Every SearchBatch registers under lifecycle_mu_
-  // (refused once shutdown_ is set) and registers its queries' effective
-  // cancel tokens in inflight_ so Shutdown can fire them all; the batch
+  // Shutdown lifecycle. Every call registers under lifecycle_mu_ (refused
+  // once shutdown_ is set) and registers its queries' effective cancel
+  // tokens in inflight_ so Shutdown can fire them all; the call
   // deregisters before returning and signals lifecycle_cv_.
   std::mutex lifecycle_mu_;
   std::condition_variable lifecycle_cv_;

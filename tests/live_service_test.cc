@@ -213,6 +213,83 @@ TEST(LiveServiceConcurrency, FragmentCacheSurvivesAppendsAndEpochBumps) {
   EXPECT_GT(after->stats.shard_cache_misses, 0u);
 }
 
+// Streams over a live corpus with delta slices and tombstones (compaction
+// held off, so both stay in play): the streamed sequence must equal the
+// buffered answer — fused for ALAE, per slice for BWT-SW — and a max_hits
+// stream must equal the buffered capped prefix.
+TEST(LiveServiceConcurrency, StreamsMatchBufferedOverDeltasAndTombstones) {
+  SequenceGenerator gen(81);
+  LiveCorpusOptions options;
+  options.base.shard_size = 500;
+  options.base.overlap = 190;
+  options.compact_after_deltas = 0;
+  options.background_compaction = false;
+  Sequence initial({}, Alphabet::Dna());
+  std::vector<DocumentSpan> spans;
+  for (uint64_t d = 0; d < 3; ++d) {
+    const int64_t begin = static_cast<int64_t>(initial.size());
+    initial.Append(gen.TextWithRepeats(400, Alphabet::Dna(), {{60, 3, 0.1}}));
+    spans.push_back(
+        DocumentSpan{d, begin, static_cast<int64_t>(initial.size())});
+  }
+  auto built = LiveCorpus::Build(initial, spans, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::unique_ptr<LiveCorpus> live = std::move(built).value();
+
+  std::vector<Sequence> queries;
+  for (int q = 0; q < 3; ++q) {
+    queries.push_back(gen.HomologousQuery(initial, 36, 0.9, 0.08, 0.03));
+  }
+  // Appended documents carry copies of query material, so delta slices
+  // produce hits too; then one base and one delta document die.
+  for (int d = 0; d < 3; ++d) {
+    Sequence doc = gen.Random(80, Alphabet::Dna());
+    doc.Append(queries[static_cast<size_t>(d)]);
+    doc.Append(gen.Random(80, Alphabet::Dna()));
+    ASSERT_TRUE(live->AppendDocument(doc).ok());
+  }
+  ASSERT_TRUE(live->DeleteDocument(1).ok());
+  ASSERT_TRUE(live->DeleteDocument(4).ok());
+  const CorpusView view = live->Snapshot();
+  ASSERT_GT(view.NumDeltaSlices(), 0u);
+  ASSERT_FALSE(view.tombstones.empty());
+
+  // Caches off: every answer is computed, none replayed.
+  QueryScheduler scheduler(*live, {.threads = 2, .cache_capacity = 0});
+  for (const std::string backend : {"alae", "bwt-sw"}) {
+    uint64_t filtered = 0;
+    size_t hits = 0;
+    for (const Sequence& query : queries) {
+      SearchRequest request = MakeRequest(query, 20);
+      api::StatusOr<SearchResponse> buffered =
+          scheduler.Search(backend, request);
+      ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
+      hits += buffered->hits.size();
+      filtered += buffered->stats.tombstone_filtered;
+
+      std::vector<AlignmentHit> streamed;
+      auto collect = [&streamed](const AlignmentHit& hit) {
+        streamed.push_back(hit);
+        return true;
+      };
+      ASSERT_TRUE(scheduler.SearchStream(backend, request, collect).ok());
+      EXPECT_EQ(streamed, buffered->hits) << backend;
+
+      SearchRequest capped = request;
+      capped.max_hits = 2;
+      api::StatusOr<SearchResponse> buffered_prefix =
+          scheduler.Search(backend, capped);
+      ASSERT_TRUE(buffered_prefix.ok());
+      streamed.clear();
+      ASSERT_TRUE(scheduler.SearchStream(backend, capped, collect).ok());
+      EXPECT_EQ(streamed, buffered_prefix->hits) << backend;
+      EXPECT_LE(streamed.size(), 2u);
+    }
+    EXPECT_GT(hits, 0u) << backend;
+    EXPECT_GT(filtered, 0u) << backend << ": no hit met a tombstone";
+  }
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace alae

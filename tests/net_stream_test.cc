@@ -366,6 +366,112 @@ TEST(SearchStream, CancelAndDeadlineSurface) {
   EXPECT_EQ(delivered, 0u);
 }
 
+// A buffered ALAE Search runs the fused walk and stores each slice's
+// fragment; a later stream of the same plan replays those fragments into
+// the StreamMerger, which needs each slice's stream in (text_end,
+// query_end) order. Fragments stored in hash order would surface here as
+// an unordered stream and a wrong max_hits prefix.
+TEST(SearchStream, ReplaysFusedSearchFragmentsInOrder) {
+  WorkloadSpec spec;
+  spec.text_length = 6'000;
+  spec.query_length = 48;
+  spec.num_queries = 4;
+  spec.homolog_fraction = 1.0;
+  spec.divergence = 0.10;
+  spec.seed = 31;
+  const Workload w = BuildWorkload(spec);
+  ShardedCorpusOptions options;
+  options.shard_size = 1'000;
+  options.overlap = 200;
+  std::unique_ptr<ShardedCorpus> corpus = MustBuild(w.text, options);
+  ASSERT_GE(corpus->num_shards(), 4u);
+  // Response cache off, so the stream reaches the fragment tier.
+  QueryScheduler scheduler(*corpus, {.threads = 2,
+                                     .cache_capacity = 0,
+                                     .shard_cache_capacity = 64});
+  for (const Sequence& query : w.queries) {
+    SearchRequest request;
+    request.query = query;
+    request.threshold = 14;
+    api::StatusOr<SearchResponse> buffered = scheduler.Search("alae", request);
+    ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
+    ASSERT_GE(buffered->hits.size(), 3u) << "workload produced too few hits";
+
+    api::EngineStats stats;
+    EXPECT_EQ(Streamed(scheduler, "alae", request, &stats), buffered->hits);
+    EXPECT_GT(stats.shard_cache_hits, 0u);
+
+    SearchRequest capped = request;
+    capped.max_hits = 2;
+    const std::vector<AlignmentHit> prefix =
+        Streamed(scheduler, "alae", capped);
+    ASSERT_EQ(prefix.size(), 2u);
+    EXPECT_EQ(prefix[0], buffered->hits[0]);
+    EXPECT_EQ(prefix[1], buffered->hits[1]);
+  }
+}
+
+// The stream path feeds the fragment tier: a cold stream counts its
+// misses and inserts what it computed, so an identical stream hits. A
+// capped stream stores nothing for the slices it cut short — a later
+// uncapped stream must still see every hit.
+TEST(SearchStream, StreamsCountAndWarmTheFragmentCache) {
+  WorkloadSpec spec;
+  spec.text_length = 24'000;
+  spec.query_length = 48;
+  spec.num_queries = 1;
+  spec.homolog_fraction = 1.0;
+  spec.divergence = 0.10;
+  spec.seed = 5;
+  const Workload w = BuildWorkload(spec);
+  ShardedCorpusOptions options;
+  options.shard_size = 4'000;
+  options.overlap = 200;
+  std::unique_ptr<ShardedCorpus> corpus = MustBuild(w.text, options);
+  const size_t slices = corpus->num_shards();
+  ASSERT_GE(slices, 4u);
+
+  SearchRequest request;
+  request.query = w.queries[0];
+  request.threshold = 16;
+  for (const std::string backend : {"sw", "alae"}) {
+    QueryScheduler scheduler(*corpus, {.threads = 2,
+                                       .cache_capacity = 0,
+                                       .shard_cache_capacity = 64});
+    api::EngineStats cold;
+    const std::vector<AlignmentHit> full =
+        Streamed(scheduler, backend, request, &cold);
+    ASSERT_GE(full.size(), 2u) << backend;
+    EXPECT_EQ(cold.shard_cache_misses, slices) << backend;
+    EXPECT_EQ(cold.shard_cache_hits, 0u) << backend;
+    EXPECT_EQ(scheduler.shard_cache().size(), slices) << backend;
+
+    api::EngineStats warm;
+    EXPECT_EQ(Streamed(scheduler, backend, request, &warm), full) << backend;
+    EXPECT_EQ(warm.shard_cache_hits, slices) << backend;
+    EXPECT_EQ(warm.shard_cache_misses, 0u) << backend;
+  }
+
+  // One worker: the capped stream's cap fires in the first slice with a
+  // hit, so at least that slice and every later one are cut short.
+  QueryScheduler scheduler(*corpus, {.threads = 1,
+                                     .cache_capacity = 0,
+                                     .shard_cache_capacity = 64});
+  SearchRequest capped = request;
+  capped.max_hits = 1;
+  api::EngineStats capped_stats;
+  const std::vector<AlignmentHit> prefix =
+      Streamed(scheduler, "sw", capped, &capped_stats);
+  ASSERT_EQ(prefix.size(), 1u);
+  EXPECT_LT(scheduler.shard_cache().size(), slices)
+      << "a capped stream stored a cut-short fragment";
+  api::EngineStats after;
+  QueryScheduler reference(*corpus, {.threads = 1, .cache_capacity = 0});
+  EXPECT_EQ(Streamed(scheduler, "sw", request, &after),
+            Streamed(reference, "sw", request));
+  EXPECT_GT(after.shard_cache_misses, 0u);
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace alae

@@ -237,10 +237,10 @@ TEST(QueryPlan, FusedShardedRunMatchesPerIndexRuns) {
   }
 }
 
-// Scheduler differential across shard counts and both execution modes: the
-// fused fan-out and the per-shard fan-out must both be bit-exact against
-// the unsharded facade for ALAE (the full all-backend differential lives
-// in service_test).
+// Scheduler differential across shard counts and both execution steps:
+// the buffered Search (one fused walk per query) and SearchStream (one
+// task per slice) must both be bit-exact against the unsharded facade
+// for ALAE (the full all-backend differential lives in service_test).
 TEST(QueryPlan, SchedulerFusedAndPerShardMatchUnshardedAcrossShardCounts) {
   WorkloadSpec spec;
   spec.text_length = 2'400;
@@ -257,23 +257,40 @@ TEST(QueryPlan, SchedulerFusedAndPerShardMatchUnshardedAcrossShardCounts) {
     options.overlap = shard_size >= 2'500 ? 0 : 180;
     auto corpus = service::ShardedCorpus::Build(w.text, options);
     ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    for (bool fused : {true, false}) {
-      service::QueryScheduler scheduler(
-          **corpus, {.threads = 2, .fuse_alae_shards = fused});
-      for (const Sequence& query : w.queries) {
-        SearchRequest request = MakeRequest(query, 16);
-        api::StatusOr<SearchResponse> sharded =
-            scheduler.Search("alae", request);
-        ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-        std::unique_ptr<api::Aligner> reference = *registry.Create("alae");
-        api::StatusOr<SearchResponse> unsharded = reference->Search(request);
-        ASSERT_TRUE(unsharded.ok());
-        EXPECT_EQ(sharded->hits, unsharded->hits)
-            << "shard_size " << shard_size << " fused " << fused;
-        // The shared plan is compiled once and reused by every engine
-        // execution behind the response.
-        EXPECT_GE(sharded->stats.plan_reuses, 1u);
-      }
+    // Response cache off: the stream must compute, not replay Search.
+    obs::MetricsRegistry metrics;
+    service::QueryScheduler scheduler(
+        **corpus,
+        {.threads = 2, .cache_capacity = 0, .registry = &metrics});
+    const obs::Counter* fused =
+        metrics.GetCounter("alae_scheduler_fused_queries_total");
+    for (const Sequence& query : w.queries) {
+      SearchRequest request = MakeRequest(query, 16);
+      std::unique_ptr<api::Aligner> reference = *registry.Create("alae");
+      api::StatusOr<SearchResponse> unsharded = reference->Search(request);
+      ASSERT_TRUE(unsharded.ok());
+
+      const uint64_t fused_before = fused->Value();
+      api::StatusOr<SearchResponse> sharded = scheduler.Search("alae", request);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      EXPECT_EQ(fused->Value(), fused_before + 1) << "Search did not fuse";
+      EXPECT_EQ(sharded->hits, unsharded->hits)
+          << "shard_size " << shard_size << " fused Search";
+      // The shared plan is compiled once and reused by every engine
+      // execution behind the response.
+      EXPECT_GE(sharded->stats.plan_reuses, 1u);
+
+      std::vector<AlignmentHit> streamed;
+      api::StatusOr<api::EngineStats> stream = scheduler.SearchStream(
+          "alae", request, [&streamed](const AlignmentHit& hit) {
+            streamed.push_back(hit);
+            return true;
+          });
+      ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+      EXPECT_EQ(fused->Value(), fused_before + 1) << "SearchStream fused";
+      EXPECT_EQ(streamed, unsharded->hits)
+          << "shard_size " << shard_size << " per-slice SearchStream";
+      EXPECT_EQ(stream->plan_reuses, (*corpus)->num_shards());
     }
   }
 }

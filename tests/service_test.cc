@@ -157,68 +157,6 @@ TEST(ShardedCorpus, BoundaryStraddlingHitEmittedOnce) {
   EXPECT_EQ(found, 1);
 }
 
-// Merger unit semantics: cross-shard duplicates collapse to the best score
-// and raw slice-local hits outside the producing slice's owned region are
-// dropped at merge time.
-TEST(HitMergerTest, DeduplicatesAndFiltersOwnership) {
-  SequenceGenerator gen(405);
-  Sequence text = gen.Random(900, Alphabet::Dna());
-  ShardedCorpusOptions options;
-  options.shard_size = 400;
-  options.overlap = 100;
-  std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
-  ASSERT_GE(corpus->num_shards(), 2u);
-
-  const CorpusView view = corpus->Snapshot();
-  HitMerger merger(view, /*tombstone_guard=*/0);
-  // Shard 1 starts at 200 and owns [300, 500). A shard-local hit ending at
-  // 50 (global 250) is in its coverage but NOT owned -> dropped; one at
-  // 150 (global 350) is owned -> kept and remapped to global coordinates.
-  api::EngineStats stats;
-  stats.counters.cells_cost3 = 7;
-  merger.MergeSlice(1,
-                    {AlignmentHit{50, 3, 21, 40}, AlignmentHit{150, 4, 25, 140}},
-                    stats);
-  // Duplicates of the same global end pair (as an overlap-emitting
-  // producer would generate) collapse to the best score.
-  merger.MergeSlice(1, {AlignmentHit{150, 4, 11, -1}}, api::EngineStats{});
-  merger.MergeSlice(1, {AlignmentHit{150, 4, 160, -1}}, api::EngineStats{});
-  SearchResponse merged = merger.Take(0);
-  ASSERT_EQ(merged.hits.size(), 1u);
-  EXPECT_EQ(merged.hits[0].text_end, 350);
-  EXPECT_EQ(merged.hits[0].score, 160);
-  EXPECT_EQ(merged.stats.counters.cells_cost3, 7u);
-  EXPECT_EQ(merged.stats.hits_emitted, 1u);
-}
-
-// Tombstone suppression at merge time: any hit whose guard window touches
-// a dead span is withheld and counted; hits clear of it pass through.
-TEST(HitMergerTest, SuppressesTombstonedWindows) {
-  SequenceGenerator gen(407);
-  Sequence text = gen.Random(900, Alphabet::Dna());
-  ShardedCorpusOptions options;
-  options.shard_size = 400;
-  options.overlap = 100;
-  std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
-
-  CorpusView view = corpus->Snapshot();
-  view.tombstones.push_back(TombstoneSpan{7, 320, 360});
-  // Guard 20: windows [text_end-19, text_end]. Shard 1 (starts at 200)
-  // owns [300, 500).
-  HitMerger merger(view, /*tombstone_guard=*/20);
-  merger.MergeSlice(1, {AlignmentHit{130, 2, 21, -1},   // global 330: window
-                                                        // [311,330] hits span
-                        AlignmentHit{179, 3, 22, -1},   // global 379: window
-                                                        // [360,379] clear
-                        AlignmentHit{175, 4, 23, -1}},  // global 375: window
-                                                        // [356,375] hits span
-                    api::EngineStats{});
-  SearchResponse merged = merger.Take(0);
-  ASSERT_EQ(merged.hits.size(), 1u);
-  EXPECT_EQ(merged.hits[0].text_end, 379);
-  EXPECT_EQ(merged.stats.tombstone_filtered, 2u);
-}
-
 // Admission is all-or-nothing against the bounded queue: a fan-out that
 // cannot fit is rejected whole with kResourceExhausted.
 TEST(QuerySchedulerTest, BackpressureRejectsWhenQueueFull) {
@@ -253,8 +191,7 @@ TEST(QuerySchedulerTest, BatchLargerThanQueueIsServedInWaves) {
   // Queue holds exactly one query's fan-out; the batch needs several.
   QueryScheduler scheduler(*corpus,
                            {.threads = 2,
-                            .queue_capacity = corpus->num_shards(),
-                            .batch_size = 1});
+                            .queue_capacity = corpus->num_shards()});
   std::vector<SearchRequest> requests;
   for (int i = 0; i < 7; ++i) {
     requests.push_back(
@@ -334,7 +271,7 @@ TEST(QuerySchedulerTest, SearchBatchKeepsPerQueryStatuses) {
   options.shard_size = 500;
   options.overlap = 150;
   std::unique_ptr<ShardedCorpus> corpus = MustBuild(text, options);
-  QueryScheduler scheduler(*corpus, {.threads = 2, .batch_size = 2});
+  QueryScheduler scheduler(*corpus, {.threads = 2});
   api::AlignerRegistry registry(text);
 
   std::vector<SearchRequest> requests;
