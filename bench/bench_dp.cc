@@ -1,7 +1,8 @@
 // DP row-kernel microbench: cell throughput of the shared affine-gap row
-// kernel (src/align/simd_dp.h) per dispatch tier — scalar oracle, SSE2,
-// AVX2 — on DNA-shaped gap-region rows at several row widths (short rows
-// are the ALAE fork shape, long rows the BWT-SW near-root shape).
+// kernel (src/align/simd_dp.h) per dispatch tier — scalar oracle and AVX2
+// — on DNA-shaped gap-region rows at several row widths (short rows are
+// the ALAE fork shape, long rows the BWT-SW near-root shape), plus paired
+// 6-cell fork rows through ComputeRowPair against two sequential calls.
 //
 //   ./bench_dp [--m=...] [--queries=rows] [--seed=...] [--json=out.json]
 //
@@ -151,8 +152,8 @@ TierResult MeasureTier(simd::DpTier tier, RowSet* set) {
 }
 
 // Fork-shaped pair traffic: steps rows two at a time, either through the
-// paired entry point (one 16-lane int16 call when active) or through two
-// sequential dispatched calls. Returns ns per cell.
+// paired entry point (one 16-lane int16 call under the AVX2 tier) or
+// through two sequential dispatched calls. Returns ns per cell.
 double MeasurePairs(RowSet* set, bool paired) {
   const ScoringScheme scheme = ScoringScheme::Default();
   auto pass = [&]() {
@@ -236,9 +237,8 @@ int main(int argc, char** argv) {
   JsonReport report;
   const simd::DpTier saved = simd::ActiveDpTier();
 
-  const simd::DpTier tiers[] = {simd::DpTier::kScalar, simd::DpTier::kSse2,
-                                simd::DpTier::kAvx2, simd::DpTier::kAvx2i16};
-  constexpr int kTiers = 4;
+  const simd::DpTier tiers[] = {simd::DpTier::kScalar, simd::DpTier::kAvx2};
+  constexpr int kTiers = 2;
   double avx2_long_speedup = -1;
   bool avx2_present = simd::DpTierSupported(simd::DpTier::kAvx2);
 
@@ -268,21 +268,21 @@ int main(int argc, char** argv) {
                  results[t].ns_per_cell, results[t].cells_per_sec);
     }
     std::printf("%s\n", table.ToString().c_str());
-    if (len >= 512 && results[2].supported) {
+    if (len >= 512 && results[1].supported) {
       avx2_long_speedup = std::max(
-          avx2_long_speedup, results[0].ns_per_cell / results[2].ns_per_cell);
+          avx2_long_speedup, results[0].ns_per_cell / results[1].ns_per_cell);
     }
   }
 
   // Gap-fork pairing: two 6-cell rows per step, the shape the ALAE engine
   // batches when sibling forks descend the same suffix-trie node.
-  if (simd::DpTierSupported(simd::DpTier::kAvx2i16)) {
+  if (avx2_present) {
     RowSet set = MakeRowSet(6, flags.Q(8192), flags.seed + 99);
-    simd::SetDpTier(simd::DpTier::kAvx2i16);
+    simd::SetDpTier(simd::DpTier::kAvx2);
     double seq_ns = MeasurePairs(&set, /*paired=*/false);
     double pair_ns = MeasurePairs(&set, /*paired=*/true);
     simd::SetDpTier(saved);
-    std::printf("fork pairs, len=6 (avx2_i16)\n");
+    std::printf("fork pairs, len=6 (avx2)\n");
     TablePrinter table({"entry", "ns/cell", "vs sequential"});
     table.AddRow({"sequential", Ns(seq_ns), "1.00x"});
     table.AddRow({"paired", Ns(pair_ns), Speedup(seq_ns, pair_ns)});

@@ -1,5 +1,7 @@
-// Fig 11: index sizes — the BWT index (both occ representations) and the
-// dominate index — when varying the text size, for DNA (a) and protein (b).
+// Fig 11: index sizes — the BWT index (both occ representations: the
+// FM-index's packed occ blocks and a wavelet tree over the same BWT) and
+// the dominate index — when varying the text size, for DNA (a) and
+// protein (b).
 // Schemes: <1,-3,-5,-2> for DNA (q=4), <1,-3,-11,-1> for protein (q=4),
 // as in §7.5.
 //
@@ -10,6 +12,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/index/bwt.h"
+#include "src/index/suffix_array.h"
+#include "src/index/wavelet_tree.h"
 #include "src/util/table_printer.h"
 
 using namespace alae;
@@ -17,21 +22,28 @@ using namespace alae::bench;
 
 namespace {
 
+// Bytes of a wavelet-tree occ structure over the BWT the AlaeIndex of
+// `text` holds (it indexes the reversed text), stored symbols shifted +1
+// with 0 the sentinel, as in the FM-index.
+size_t WaveletOccBytes(const Sequence& text) {
+  const Sequence rev = text.Reversed();
+  std::vector<int64_t> sa = BuildSuffixArray(rev.symbols(), rev.sigma());
+  return WaveletTree(BuildBwt(rev.symbols(), sa).bwt, rev.sigma() + 1)
+      .SizeBytes();
+}
+
 void SizeTable(AlphabetKind kind, const ScoringScheme& scheme,
                const std::vector<int64_t>& sizes, uint64_t seed) {
   TablePrinter table({"n", "BWT index (flat occ)", "BWT index (wavelet)",
                       "SA samples", "dominate index", "dominated grams"});
   for (int64_t n : sizes) {
     Workload w = MakeWorkload(n, 100, 1, kind, seed);
-    FmIndexOptions wavelet;
-    wavelet.use_wavelet = true;
     AlaeIndex flat(w.text);
-    AlaeIndex wave(w.text, wavelet);
     int32_t q = scheme.QPrefixLength();
     const DominationIndex& dom = flat.Domination(q);
     AlaeIndex::Sizes fs = flat.SizeBytes();
-    AlaeIndex::Sizes ws = wave.SizeBytes();
-    table.AddRow({std::to_string(n), Mb(fs.bwt_bytes), Mb(ws.bwt_bytes),
+    table.AddRow({std::to_string(n), Mb(fs.bwt_bytes),
+                  Mb(WaveletOccBytes(w.text)),
                   Mb(fs.sample_bytes), Mb(dom.SizeBytes()),
                   std::to_string(dom.num_dominated()) + "/" +
                       std::to_string(dom.num_grams())});

@@ -39,8 +39,8 @@ class BitVector {
 
 // Immutable bitvector with O(1) rank support (one absolute 64-bit count per
 // 512-bit superblock plus per-64-bit-word byte offsets). ~1.31 bits per bit.
-// This is the building block of the wavelet tree (the "compressed suffix
-// array" occ structure option, paper §2.3/§5).
+// It marks the FM-index's sampled SA rows and is the building block of the
+// wavelet tree (the "compressed suffix array" occ structure, paper §2.3/§5).
 class RankBitVector {
  public:
   RankBitVector() = default;

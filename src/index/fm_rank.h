@@ -25,26 +25,24 @@ struct SaRange;
 
 // How the flat occ blocks lay out checkpoints and packed BWT symbols.
 //
-// Single-level layouts interleave full u32 checkpoint counts with the data
-// words (two counts per u64). Two-level layouts store one u8 *delta* per
-// code in the block header and push the full-width counts into a sparse
-// out-of-band table of u32 absolute rows, one row per 2^super_shift blocks:
+// DNA (sigma <= 4) interleaves full u32 checkpoint counts with the data
+// words (two counts per u64): its block is exactly one 64-byte cache line.
+// Larger alphabets use the *two-level* scheme: one u8 delta per code in the
+// block header, with the full-width counts in a sparse out-of-band table of
+// u32 absolute rows, one row per 2^super_shift blocks:
 //
 //   rank(code, row) = abs[(block >> shift) * cp_count + code]
 //                   + u8_delta(block, code) + popcount(prefix of block)
 //
 // The u8 never overflows because a superblock spans at most 192 symbols of
 // delta before the next absolute row resets it (see geometry table below).
-// Shrinking the protein block header from 88 bytes of u32 counts to 24
-// bytes of u8 deltas both halves the in-block scan (64-symbol blocks) and
-// cuts the per-rank footprint; DNA keeps the single-level layout because
-// its block is already exactly one cache line.
+// Against u32 checkpoints this shrinks the protein block header from 88 to
+// 24 bytes, halves the in-block scan (64-symbol blocks) and cuts the
+// per-rank footprint.
 enum class FmOccLayout : uint8_t {
   k2Bit = 0,          // sigma <= 4: 2 cp words + 6 data words = 64 B
-  k4Bit = 1,          // sigma <= 15: u32 checkpoints, 128 syms/block
-  kByte = 2,          // sigma > 15: u32 checkpoints, 128 syms/block
-  k4BitTwoLevel = 3,  // u8 deltas, 96 syms/block, absolutes every 2 blocks
-  kByteTwoLevel = 4,  // u8 deltas, 64 syms/block, absolutes every 4 blocks
+  k4BitTwoLevel = 1,  // sigma <= 15: u8 deltas, 96 syms/block, abs every 2
+  kByteTwoLevel = 2,  // sigma > 15: u8 deltas, 64 syms/block, abs every 4
 };
 
 struct FmOccGeometry {
@@ -60,10 +58,6 @@ constexpr FmOccGeometry FmLayoutGeometry(FmOccLayout layout) {
   switch (layout) {
     case FmOccLayout::k2Bit:
       return {2, 32, 192, 6, 0, false};
-    case FmOccLayout::k4Bit:
-      return {4, 16, 128, 8, 0, false};
-    case FmOccLayout::kByte:
-      return {8, 8, 128, 16, 0, false};
     case FmOccLayout::k4BitTwoLevel:
       return {4, 16, 96, 6, 1, true};  // max delta 1*96 = 96 < 256
     case FmOccLayout::kByteTwoLevel:
@@ -72,8 +66,8 @@ constexpr FmOccGeometry FmLayoutGeometry(FmOccLayout layout) {
   return {0, 0, 0, 0, 0, false};
 }
 
-// Checkpoint words per block for a layout: u32 pairs single-level, packed
-// u8 deltas two-level.
+// Checkpoint words per block for a layout: u32 pairs for DNA, packed u8
+// deltas two-level.
 constexpr int FmLayoutCpWords(FmOccLayout layout, int cp_count) {
   return FmLayoutGeometry(layout).two_level ? (cp_count + 7) / 8
                                             : (cp_count + 1) / 2;
@@ -111,7 +105,6 @@ struct FmRankOps {
   void (*extend_batch)(const FmFlatView&, const SaRange* in,
                        const Symbol* cs, SaRange* out, int count);
   int64_t (*occ)(const FmFlatView&, Symbol shifted, int64_t row);
-  Symbol (*access)(const FmFlatView&, int64_t row);
   int64_t (*lf_step)(const FmFlatView&, int64_t row);
 };
 
@@ -125,7 +118,6 @@ bool ExtendSingleton(const FmFlatView& v, int64_t row, Symbol* c,
 void ExtendBatch(const FmFlatView& v, const SaRange* in, const Symbol* cs,
                  SaRange* out, int count);
 int64_t OccRank(const FmFlatView& v, Symbol shifted, int64_t row);
-Symbol Access(const FmFlatView& v, int64_t row);
 int64_t LfStep(const FmFlatView& v, int64_t row);
 const FmRankOps* Ops();
 }  // namespace fm_rank_portable

@@ -521,6 +521,27 @@ TEST_F(LiveManifestHardeningTest, RejectsDeltaReferencingUnknownDocument) {
   EXPECT_TRUE(delta_error) << live.status().ToString();
 }
 
+TEST_F(LiveManifestHardeningTest, RejectsRetiredWaveletWord) {
+  SaveFixture();
+  // The manifest keeps its wavelet occ-mode word (magic, generation,
+  // shard_size, overlap, wavelet, ...); that mode is retired, so a non-zero
+  // word must be refused with a Status rather than loaded as flat.
+  std::fstream file(dir() + "/corpus.manifest",
+                    std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.is_open());
+  file.seekp(4 * 8);
+  const uint64_t wavelet = 1;
+  file.write(reinterpret_cast<const char*>(&wavelet), sizeof(wavelet));
+  file.close();
+  api::StatusOr<std::unique_ptr<LiveCorpus>> live =
+      LiveCorpus::Load(dir(), SmallLiveOptions());
+  ASSERT_FALSE(live.ok());
+  EXPECT_EQ(live.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(live.status().message().find("corrupt corpus manifest"),
+            std::string::npos)
+      << live.status().ToString();
+}
+
 TEST_F(LiveManifestHardeningTest, RejectsSwappedDeltaIndexFile) {
   SaveFixture();
   // Swapping the two delta index files must trip the content probe even

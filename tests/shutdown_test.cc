@@ -101,25 +101,42 @@ TEST(ServiceShutdown, ShutdownHammerLeavesOnlyOkOrCancelled) {
 
 // The destructor race the class doc promises is safe: clients start one
 // Search each, the scheduler is destroyed while they are in flight, and
-// each call returns its answer or kCancelled — never UB. Each client
-// makes exactly one call that begins before destruction starts, so no
-// call ever targets a freed scheduler.
+// each call returns its answer or kCancelled — never UB. The test must
+// itself never call into a scheduler whose destruction has begun (that is
+// the caller's use-after-destruction, not the race under test), so:
+// clients get a raw pointer taken before they start (reset() then never
+// races a read of the unique_ptr), and reset() waits until every call has
+// provably entered. The proof is a pool wedged by latch tasks: each fused
+// ALAE call queues exactly one task after its lifecycle registration, so a
+// queue depth of kClients means every call is registered and waiting. The
+// latch is released shortly after destruction begins, letting the
+// cancelled tasks drain.
 TEST(ServiceShutdown, DestructionWithInflightClientsIsClean) {
   Workload w = SmallWorkload(12);
   auto corpus = SmallCorpus(w);
+  constexpr int kThreads = 2;
+  constexpr int kClients = 4;
   for (int round = 0; round < 8; ++round) {
     auto scheduler = std::make_unique<QueryScheduler>(
-        *corpus, SchedulerOptions{.threads = 2, .cache_capacity = 0});
-    std::atomic<int> started{0};
+        *corpus, SchedulerOptions{.threads = kThreads, .cache_capacity = 0});
+    QueryScheduler* const target = scheduler.get();
+
+    std::atomic<int> wedged{0};
+    std::atomic<bool> release{false};
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_TRUE(target->pool().TrySubmit([&] {
+        ++wedged;
+        while (!release.load()) std::this_thread::yield();
+      }));
+    }
+    while (wedged.load() < kThreads) std::this_thread::yield();
+
     std::atomic<int> unexpected{0};
-    constexpr int kClients = 4;
     auto client = [&](int id) {
       SearchRequest request;
       request.query = w.queries[static_cast<size_t>(id) % w.queries.size()];
       request.threshold = 16;
-      ++started;
-      api::StatusOr<SearchResponse> response =
-          scheduler->Search("alae", request);
+      api::StatusOr<SearchResponse> response = target->Search("alae", request);
       if (!response.ok() &&
           response.status().code() != StatusCode::kCancelled &&
           response.status().code() != StatusCode::kResourceExhausted) {
@@ -128,10 +145,17 @@ TEST(ServiceShutdown, DestructionWithInflightClientsIsClean) {
     };
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) clients.emplace_back(client, c);
-    while (started.load() < kClients) std::this_thread::yield();
+    while (target->pool().QueueDepth() < static_cast<size_t>(kClients)) {
+      std::this_thread::yield();
+    }
     // Destruction now races the in-flight Search calls; ~QueryScheduler
     // must cancel and wait them out before freeing anything they touch.
+    std::thread releaser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      release.store(true);
+    });
     scheduler.reset();
+    releaser.join();
     for (std::thread& t : clients) t.join();
     EXPECT_EQ(unexpected.load(), 0) << "round " << round;
   }

@@ -33,9 +33,7 @@ class TierGuard {
 
 std::vector<DpTier> SupportedVectorTiers() {
   std::vector<DpTier> tiers;
-  if (DpTierSupported(DpTier::kSse2)) tiers.push_back(DpTier::kSse2);
   if (DpTierSupported(DpTier::kAvx2)) tiers.push_back(DpTier::kAvx2);
-  if (DpTierSupported(DpTier::kAvx2i16)) tiers.push_back(DpTier::kAvx2i16);
   return tiers;
 }
 
@@ -143,6 +141,42 @@ void ExpectSameRow(RowCase& c, DpTier tier, uint64_t tag) {
   EXPECT_EQ(sstats.mu_last, vstats.mu_last) << "case " << tag;
 }
 
+// Runs rows a and b through ComputeRowPair under `tier` and checks both
+// against two sequential scalar rows: full output arrays (Gb optional per
+// row) and the returned chain state.
+void ExpectSamePair(RowCase& ca, RowCase& cb, bool gb_a, bool gb_b,
+                    DpTier tier, uint64_t tag) {
+  std::vector<int32_t> sm_a, sga_a, sgb_a, sm_b, sga_b, sgb_b;
+  std::vector<int32_t> vm_a, vga_a, vgb_a, vm_b, vga_b, vgb_b;
+  RowStats ssa, ssb;
+  ca.Bind(&sm_a, &sga_a, gb_a ? &sgb_a : nullptr);
+  cb.Bind(&sm_b, &sga_b, gb_b ? &sgb_b : nullptr);
+  ComputeRowScalar(ca.spec, &ssa);
+  ComputeRowScalar(cb.spec, &ssb);
+  TierGuard guard;
+  ASSERT_TRUE(SetDpTier(tier));
+  RowStats vsa, vsb;
+  ca.Bind(&vm_a, &vga_a, gb_a ? &vgb_a : nullptr);
+  cb.Bind(&vm_b, &vga_b, gb_b ? &vgb_b : nullptr);
+  ComputeRowPair(ca.spec, cb.spec, &vsa, &vsb);
+  ASSERT_EQ(sm_a, vm_a) << "pair row a M, tier " << DpTierName(tier)
+                        << " case " << tag;
+  ASSERT_EQ(sga_a, vga_a) << "pair row a Ga, case " << tag;
+  if (gb_a) ASSERT_EQ(sgb_a, vgb_a) << "pair row a Gb, case " << tag;
+  ASSERT_EQ(sm_b, vm_b) << "pair row b M, tier " << DpTierName(tier)
+                        << " case " << tag;
+  ASSERT_EQ(sga_b, vga_b) << "pair row b Ga, case " << tag;
+  if (gb_b) ASSERT_EQ(sgb_b, vgb_b) << "pair row b Gb, case " << tag;
+  EXPECT_EQ(ssa.first_alive, vsa.first_alive) << "case " << tag;
+  EXPECT_EQ(ssa.last_alive, vsa.last_alive) << "case " << tag;
+  EXPECT_EQ(ssa.gb_last, vsa.gb_last) << "case " << tag;
+  EXPECT_EQ(ssa.mu_last, vsa.mu_last) << "case " << tag;
+  EXPECT_EQ(ssb.first_alive, vsb.first_alive) << "case " << tag;
+  EXPECT_EQ(ssb.last_alive, vsb.last_alive) << "case " << tag;
+  EXPECT_EQ(ssb.gb_last, vsb.gb_last) << "case " << tag;
+  EXPECT_EQ(ssb.mu_last, vsb.mu_last) << "case " << tag;
+}
+
 TEST(SimdDp, VectorTiersMatchScalarOracle) {
   std::vector<DpTier> tiers = SupportedVectorTiers();
   if (tiers.empty()) GTEST_SKIP() << "no vector tier on this host";
@@ -245,97 +279,68 @@ TEST(SimdDp, DispatchForceAndRestore) {
     EXPECT_EQ(ActiveDpTier(), before);
   }
   EXPECT_STREQ(DpTierName(DpTier::kScalar), "scalar");
-  EXPECT_STREQ(DpTierName(DpTier::kSse2), "sse2");
   EXPECT_STREQ(DpTierName(DpTier::kAvx2), "avx2");
-  EXPECT_STREQ(DpTierName(DpTier::kAvx2i16), "avx2_i16");
 }
 
-// int16-tier boundary cases: real scores straddling the int16
-// representable range force the load/compute clip detectors, while scores
-// just inside it must flow through the narrow path — both must match the
-// scalar oracle exactly. (The generic sweep above covers the far regimes;
-// this one dwells on the +-32767 rails where the sentinel encoding and
-// saturating arithmetic meet.)
+// int16 boundary cases of the paired kernel (both rows 1..8 cells): real
+// scores straddling the int16 representable range force its load/compute
+// clip detectors (the clipped half reruns through the scalar loop), while
+// scores just inside it must flow through the narrow path — both halves
+// must match the scalar oracle exactly. (The generic sweeps cover the far
+// regimes; this one dwells on the +-32767 rails where the sentinel encoding
+// and saturating arithmetic meet.)
 TEST(SimdDp, Int16TierSaturationRails) {
-  if (!DpTierSupported(DpTier::kAvx2i16)) {
+  if (!DpTierSupported(DpTier::kAvx2)) {
     GTEST_SKIP() << "no avx2 on this host";
   }
   Rng rng(777);
   uint64_t tag = 90000;
-  for (int trial = 0; trial < 200; ++trial) {
-    int64_t len = rng.Range(16, 80);
-    RowCase c = RandomCase(rng, len);
-    auto rail = [&](int32_t v) {
-      switch (rng.Below(6)) {
-        case 0:
-          return static_cast<int32_t>(rng.Range(32700, 33000));
-        case 1:
-          return static_cast<int32_t>(rng.Range(-33000, -32700));
-        case 2:
-          return 32767;
-        case 3:
-          return -32768;
-        case 4:
-          return -32767;
-        default:
-          return v;  // keep the generic draw
-      }
-    };
-    for (auto* lane : {&c.prev_m, &c.prev_ga, &c.diag_m}) {
-      for (auto& v : *lane) {
-        if (v != kNegInf && rng.Bernoulli(0.4)) v = rail(v);
+  auto rail = [&](int32_t v) {
+    switch (rng.Below(6)) {
+      case 0:
+        return static_cast<int32_t>(rng.Range(32700, 33000));
+      case 1:
+        return static_cast<int32_t>(rng.Range(-33000, -32700));
+      case 2:
+        return 32767;
+      case 3:
+        return -32768;
+      case 4:
+        return -32767;
+      default:
+        return v;  // keep the generic draw
+    }
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    RowCase ca = RandomCase(rng, rng.Range(1, 8));
+    RowCase cb = RandomCase(rng, rng.Range(1, 8));
+    for (RowCase* c : {&ca, &cb}) {
+      for (auto* lane : {&c->prev_m, &c->prev_ga, &c->diag_m}) {
+        for (auto& v : *lane) {
+          if (v != kNegInf && rng.Bernoulli(0.4)) v = rail(v);
+        }
       }
     }
-    ExpectSameRow(c, DpTier::kAvx2i16, ++tag);
+    ExpectSamePair(ca, cb, (trial % 3) != 0, (trial % 5) != 0, DpTier::kAvx2,
+                   ++tag);
   }
 }
 
 // ComputeRowPair must be bit-exact against two sequential scalar rows for
-// every tier — under the int16 tier that exercises the 16-lane paired
-// kernel (both rows 1..8 cells), everywhere else the sequential fallback.
+// every tier — under the AVX2 tier that exercises the 16-lane paired int16
+// kernel (both rows 1..8 cells), under scalar the sequential fallback.
 TEST(SimdDp, PairedRowsMatchSequentialScalar) {
   std::vector<DpTier> tiers = {DpTier::kScalar};
   for (DpTier t : SupportedVectorTiers()) tiers.push_back(t);
   Rng rng(555);
-  TierGuard guard;
   uint64_t tag = 0;
   for (int trial = 0; trial < 300; ++trial) {
     int64_t len_a = rng.Range(1, 9);
     int64_t len_b = rng.Range(1, 9);
     RowCase ca = RandomCase(rng, len_a);
     RowCase cb = RandomCase(rng, len_b);
-    std::vector<int32_t> sm_a, sga_a, sgb_a, sm_b, sga_b, sgb_b;
-    std::vector<int32_t> vm_a, vga_a, vgb_a, vm_b, vga_b, vgb_b;
-    bool gb_a = (trial % 3) != 0;
-    bool gb_b = (trial % 5) != 0;
-    RowStats ssa, ssb;
-    ca.Bind(&sm_a, &sga_a, gb_a ? &sgb_a : nullptr);
-    cb.Bind(&sm_b, &sga_b, gb_b ? &sgb_b : nullptr);
-    ComputeRowScalar(ca.spec, &ssa);
-    ComputeRowScalar(cb.spec, &ssb);
     for (DpTier tier : tiers) {
-      ASSERT_TRUE(SetDpTier(tier));
-      RowStats vsa, vsb;
-      ca.Bind(&vm_a, &vga_a, gb_a ? &vgb_a : nullptr);
-      cb.Bind(&vm_b, &vga_b, gb_b ? &vgb_b : nullptr);
-      ComputeRowPair(ca.spec, cb.spec, &vsa, &vsb);
-      ++tag;
-      ASSERT_EQ(sm_a, vm_a) << "pair row a M, tier " << DpTierName(tier)
-                            << " case " << tag;
-      ASSERT_EQ(sga_a, vga_a) << "pair row a Ga, case " << tag;
-      if (gb_a) ASSERT_EQ(sgb_a, vgb_a) << "pair row a Gb, case " << tag;
-      ASSERT_EQ(sm_b, vm_b) << "pair row b M, tier " << DpTierName(tier)
-                            << " case " << tag;
-      ASSERT_EQ(sga_b, vga_b) << "pair row b Ga, case " << tag;
-      if (gb_b) ASSERT_EQ(sgb_b, vgb_b) << "pair row b Gb, case " << tag;
-      EXPECT_EQ(ssa.first_alive, vsa.first_alive) << "case " << tag;
-      EXPECT_EQ(ssa.last_alive, vsa.last_alive) << "case " << tag;
-      EXPECT_EQ(ssa.gb_last, vsa.gb_last) << "case " << tag;
-      EXPECT_EQ(ssa.mu_last, vsa.mu_last) << "case " << tag;
-      EXPECT_EQ(ssb.first_alive, vsb.first_alive) << "case " << tag;
-      EXPECT_EQ(ssb.last_alive, vsb.last_alive) << "case " << tag;
-      EXPECT_EQ(ssb.gb_last, vsb.gb_last) << "case " << tag;
-      EXPECT_EQ(ssb.mu_last, vsb.mu_last) << "case " << tag;
+      ExpectSamePair(ca, cb, (trial % 3) != 0, (trial % 5) != 0, tier, ++tag);
     }
   }
 }
